@@ -9,12 +9,11 @@ Top-level keys
 --------------
 schema_version : must equal 1
 study          : filter | autoconv | besov | nu-random
-seed           : 64-bit integer master seed
+seed           : master seed, an integer in [0, 2**64)
 eta_grid       : strictly decreasing list of positive reals
 trials_per_eta : integer >= 30 (the Ky Fan estimator resolves 1/trials)
 workers        : optional positive integer (default 1); validated, but
-                 trials run serially in trial order, so the value changes
-                 neither outputs nor scheduling
+                 ignored: the value changes neither outputs nor scheduling
 noise_level    : {mode: kyfan-bound} or
                  {mode: inflated-expectation, tau: {kind: constant, value: c}
                                               or  {kind: log-inflating}}
@@ -22,7 +21,10 @@ caps           : {norm: R, sup: S} truncation caps for expectation summaries
 operator       : study-dependent operator spec (see below)
 truth          : study-dependent ground-truth spec
 rule           : parameter-choice rule spec
-solver         : optional study-specific solver knobs
+solver         : optional study-specific solver knobs; each study accepts
+                 only its own keys (filter: filter; autoconv: tol,
+                 max_iter, max_budget, total_budget, max_alpha_steps,
+                 step_safety; besov: s, p, d; nu-random: gamma, kmax)
 
 Operator specs: {kind: diagonal, singular_values: [...]},
 {kind: diagonal-powerlaw, size: n, decay: q} for sigma_k = k^-q,
@@ -67,6 +69,12 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 _STUDIES = ("filter", "autoconv", "besov", "nu-random")
+_SOLVER_KEYS = {
+    "filter": ("filter",),
+    "autoconv": ("tol", "max_iter", "max_budget", "total_budget", "max_alpha_steps", "step_safety"),
+    "besov": ("s", "p", "d"),
+    "nu-random": ("gamma", "kmax"),
+}
 
 
 class ConfigError(ValueError):
@@ -274,6 +282,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
     if top["study"] not in _STUDIES:
         raise ConfigError(f"config.study: unknown study {top['study']!r}; allowed: {_STUDIES}")
+    if not 0 <= top["seed"] < 2**64:
+        raise ConfigError(f"config.seed: must lie in [0, 2**64), got {top['seed']!r}")
+    allowed = _SOLVER_KEYS[top["study"]]
+    unknown = set(top["solver"]) - set(allowed)
+    if unknown:
+        raise ConfigError(
+            f"config.solver: unknown key(s) {sorted(unknown, key=str)!r} for the "
+            f"{top['study']} study; allowed: {list(allowed)}"
+        )
 
     grid = [_coerce(v, float, "config.eta_grid[*]") for v in top["eta_grid"]]
     if not grid or any(not (v > 0.0) for v in grid):

@@ -10,7 +10,9 @@ mean chosen parameter.
 Determinism: every trial draws from a generator keyed by
 (seed, eta_index << 32 | trial), and trials run serially in trial order,
 so the config's ``workers`` value changes neither the outputs nor the
-scheduling; summaries are reduced in trial order.
+scheduling; summaries are reduced in trial order.  The autoconvolution
+study solves the trials of an eta together, in blocks fixed by the grid
+size and the trial order, so its outputs repeat exactly as well.
 """
 
 from __future__ import annotations
@@ -287,40 +289,123 @@ def _two_bump_truth(m: int, amplitude: float) -> np.ndarray:
 
 
 def _constant_fit_init(grid: AutoconvGrid, y: np.ndarray) -> np.ndarray:
-    # F(c*1)(s) = c^2 s; least-squares fit of c^2 against the data
+    # F(c*1)(s) = c^2 s; least-squares fit of c^2 against each row of data
     s = (np.arange(grid.m) + 1.0) * grid.h
-    c_sq = max(float(y @ s) / float(s @ s), 1e-6)
-    return math.sqrt(c_sq) * np.ones(grid.m)
+    c_sq = np.maximum(y @ s / float(s @ s), 1e-6)
+    return np.repeat(np.sqrt(c_sq)[:, np.newaxis], grid.m, axis=1)
 
 
 def _haar_matrix(m: int) -> np.ndarray:
     # dense orthonormal transform matrix; one BLAS product per application
-    # beats the recursive transform inside tight solver loops
+    # beats the recursive transform inside tight solver loops.  Rows hold
+    # vectors, so c = x @ haar.T analyses and x = c @ haar synthesizes
     return np.column_stack([haar_forward(col) for col in np.eye(m)])
 
 
 def _autoconv_solve(grid, haar, y_noisy, coeff_init, alpha, step, tol, max_iter, floor):
-    # prox_gradient_solve takes the adjoint at the iterate it last sent
-    # forward, so the synthesis haar.T @ c is computed once and reused
+    # prox_gradient_solve takes the adjoint at the block it last sent
+    # forward, so the synthesis c @ haar is computed once and reused
     last_c = last_x = None
 
     def fwd(c):
         nonlocal last_c, last_x
-        last_c, last_x = c, haar.T @ c
+        last_c, last_x = c, c @ haar
         return autoconv_apply(grid, last_x)
 
     def adj(c, r):
-        x = last_x if c is last_c else haar.T @ c
-        return haar @ autoconv_derivative_adjoint_apply(grid, x, r)
+        x = last_x if c is last_c else c @ haar
+        return autoconv_derivative_adjoint_apply(grid, x, r) @ haar.T
 
     try:
-        report = prox_gradient_solve(
+        return prox_gradient_solve(
             fwd, adj, y_noisy, alpha=alpha, weights=None, p=1.0, step=step,
             x0=coeff_init, tol=tol, max_iter=max_iter, residual_floor=floor,
         )
-        return report, True
     except NonConvergence as exc:
-        return exc.report, False
+        return exc.report
+
+
+def _alpha_continuation(grid, haar, y, lo_target, hi_target, knobs, seed):
+    """Search alpha with residual in [lo_target, hi_target] for each data row.
+
+    Each row starts above its kill-everything alpha and moves geometrically
+    toward the band: x4 steps until the band is bracketed, then bisection in
+    log alpha.  A row that stays above the band without converging first
+    retries with a doubled iteration budget.  Every alpha step is one
+    batched solve over the rows still searching.  Returns each row's last
+    alpha, Haar coefficients and residual, and whether it ended in the band.
+    """
+    rows, m = y.shape
+    x0 = _constant_fit_init(grid, y)
+    coeffs = x0 @ haar.T
+    lip = operator_norm_squared(
+        lambda v: autoconv_derivative_apply(grid, x0, v),
+        lambda r: autoconv_derivative_adjoint_apply(grid, x0, r),
+        m, iters=30, seed=seed, rows=rows,
+    )
+    step = knobs["step_safety"] / np.maximum(lip, 1e-12)
+
+    # start above the kill-everything alpha (prox fixed point at the init
+    # needs alpha >= 2 max|gradient|), then continue downward
+    grad0 = autoconv_derivative_adjoint_apply(grid, x0, autoconv_apply(grid, x0) - y) @ haar.T
+    alpha = np.maximum(4.0 * np.max(np.abs(grad0), axis=1), 1e-12)
+    del x0, grad0
+    alpha_hi = np.full(rows, math.nan)
+    alpha_lo = np.full(rows, math.nan)
+    last_alpha = alpha.copy()
+    residual = np.empty(rows)
+    in_band = np.zeros(rows, dtype=bool)
+    budget = np.full(rows, knobs["max_iter"])
+    spent = np.zeros(rows, dtype=int)
+    max_budget, total_budget = knobs["max_budget"], knobs["total_budget"]
+    searching = np.arange(rows)
+    for _ in range(knobs["max_alpha_steps"]):
+        if not searching.size:
+            break
+        report = _autoconv_solve(
+            grid, haar, y[searching], coeffs[searching], alpha[searching], step[searching],
+            knobs["tol"], budget[searching], floor=0.97 * lo_target,
+        )
+        coeffs[searching] = report.solution
+        residual[searching] = report.final_residual
+        last_alpha[searching] = alpha[searching]
+        spent[searching] += report.row_iterations
+        converged = report.converged
+        del report  # the next solve need not hold this one's arrays
+        still = []
+        for i, ok in zip(searching, converged):
+            res, a = residual[i], alpha[i]
+            if res > hi_target:
+                if not ok and budget[i] < max_budget and spent[i] < total_budget:
+                    # not yet converged and still above the band: the warm
+                    # start keeps the progress, so retry with more budget
+                    budget[i] *= 2
+                    still.append(i)
+                    continue
+                alpha_hi[i] = a
+                alpha[i] = a / 4.0 if math.isnan(alpha_lo[i]) else math.sqrt(a * alpha_lo[i])
+            elif res < lo_target:
+                alpha_lo[i] = a
+                alpha[i] = a * 4.0 if math.isnan(alpha_hi[i]) else math.sqrt(a * alpha_hi[i])
+            else:
+                in_band[i] = True
+                continue
+            if spent[i] > total_budget:
+                continue
+            if alpha_hi[i] / alpha_lo[i] < 1.02:
+                # the residual jumps across the band on this branch: no
+                # in-band alpha exists, keep the closest attempt
+                continue
+            still.append(i)
+        searching = np.array(still, dtype=int)
+    return last_alpha, coeffs, residual, in_band
+
+
+# Trials solved together: enough rows to spread numpy's per-call cost,
+# few enough that each (rows, m) array holds at most this many doubles.
+# A solve keeps about twenty such arrays alive; solving all 200 trials of an
+# eta at m = 128 as one block raised peak memory by about 10%.
+_BLOCK_DOUBLES = 4096
 
 
 def _run_autoconv_study(cfg: ExperimentConfig) -> StudyResult:
@@ -337,103 +422,64 @@ def _run_autoconv_study(cfg: ExperimentConfig) -> StudyResult:
     y_exact = autoconv_apply(grid, x_true)
     c_true = haar_forward(x_true)
     haar = _haar_matrix(m)
-
-    tol = cfg.solver.get("tol", 1e-6)
-    max_iter = int(cfg.solver.get("max_iter", 800))
-    max_budget = int(cfg.solver.get("max_budget", 6400))
-    total_budget = int(cfg.solver.get("total_budget", 20000))
-    max_alpha_steps = int(cfg.solver.get("max_alpha_steps", 40))
-    step_safety = cfg.solver.get("step_safety", 0.9)
+    knobs = {
+        "tol": cfg.solver.get("tol", 1e-6),
+        "max_iter": int(cfg.solver.get("max_iter", 800)),
+        "max_budget": int(cfg.solver.get("max_budget", 6400)),
+        "total_budget": int(cfg.solver.get("total_budget", 20000)),
+        "max_alpha_steps": int(cfg.solver.get("max_alpha_steps", 40)),
+        "step_safety": cfg.solver.get("step_safety", 0.9),
+    }
     rule = cfg.rule
+    block_rows = max(1, _BLOCK_DOUBLES // m)
+
+    def block_trials(eta_idx, eta, dlt, block):
+        lo_target, hi_target = rule.tau1 * dlt, rule.tau2 * dlt
+        y_noisy = np.stack([
+            y_exact + eta * trial_rng(cfg.seed, _stream_index(eta_idx, t)).standard_normal(m)
+            for t in block
+        ])
+        # trivial data: the zero solution already satisfies the bound
+        trivial = np.linalg.norm(y_noisy, axis=1) <= lo_target
+        alphas, coeffs, residuals, in_band = _alpha_continuation(
+            grid, haar, y_noisy[~trivial], lo_target, hi_target, knobs, cfg.seed,
+        )
+        xs = coeffs @ haar
+        solved_row = np.cumsum(~trivial) - 1  # each trial's row among the solved ones
+        out = []
+        for row, t in enumerate(block):
+            if trivial[row]:
+                out.append(TrialResult(
+                    eta=eta, trial=t, delta_eff=dlt, alpha_or_kstar=math.inf,
+                    error=float(np.linalg.norm(x_true)),
+                    error_truncated=float(np.linalg.norm(x_true)),
+                    residual=float(np.linalg.norm(y_noisy[row])), truncated=False,
+                    ratio_delta2_alpha=0.0,
+                ))
+                continue
+            i = solved_row[row]
+            x_trunc = truncate_solution(xs[i], cfg.caps.norm, cfg.caps.sup)
+            alpha = float(alphas[i])
+            out.append(TrialResult(
+                eta=eta, trial=t, delta_eff=dlt, alpha_or_kstar=alpha,
+                error=float(np.linalg.norm(coeffs[i] - c_true)),
+                error_truncated=float(np.linalg.norm((haar @ x_trunc) - c_true)),
+                residual=float(residuals[i]),
+                truncated=not np.array_equal(x_trunc, xs[i]),
+                flagged=not in_band[i],
+                ratio_delta2_alpha=dlt**2 / alpha,
+            ))
+        return out
 
     summaries, all_trials = [], []
     for eta_idx, eta in enumerate(cfg.eta_grid):
         spec = NoiseSpec(eta=eta, m=m)
         dlt = delta_eff(spec, cfg.noise_mode)
-
-        def one_trial(t, eta=eta, eta_idx=eta_idx, dlt=dlt):
-            rng = trial_rng(cfg.seed, _stream_index(eta_idx, t))
-            y_noisy = y_exact + eta * rng.standard_normal(m)
-            lo_target, hi_target = rule.tau1 * dlt, rule.tau2 * dlt
-            if float(np.linalg.norm(y_noisy)) <= lo_target:
-                # trivial data: the zero solution already satisfies the bound
-                return TrialResult(
-                    eta=eta, trial=t, delta_eff=dlt, alpha_or_kstar=math.inf,
-                    error=float(np.linalg.norm(x_true)),
-                    error_truncated=float(np.linalg.norm(x_true)),
-                    residual=float(np.linalg.norm(y_noisy)), truncated=False,
-                    ratio_delta2_alpha=0.0,
-                )
-
-            x0 = _constant_fit_init(grid, y_noisy)
-            coeffs = haar @ x0
-            lip = operator_norm_squared(
-                lambda v: autoconv_derivative_apply(grid, x0, v),
-                lambda r: autoconv_derivative_adjoint_apply(grid, x0, r),
-                m, iters=30, seed=cfg.seed,
-            )
-            step = step_safety / max(lip, 1e-12)
-
-            # start above the kill-everything alpha (prox fixed point at the
-            # init needs alpha >= 2 max|gradient|), then continue downward
-            grad0 = haar @ autoconv_derivative_adjoint_apply(
-                grid, x0, autoconv_apply(grid, x0) - y_noisy
-            )
-            alpha = max(4.0 * float(np.max(np.abs(grad0))), 1e-12)
-            in_band = False
-            alpha_hi = None
-            alpha_lo = None
-            best = None
-            budget = max_iter
-            spent = 0
-            for _ in range(max_alpha_steps):
-                report, ok = _autoconv_solve(
-                    grid, haar, y_noisy, coeffs, alpha, step, tol, budget,
-                    floor=0.97 * lo_target,
-                )
-                coeffs = report.solution
-                res = report.final_residual
-                spent += report.iterations
-                best = (alpha, report)
-                if res > hi_target:
-                    if not ok and budget < max_budget and spent < total_budget:
-                        # not yet converged and still above the band: the warm
-                        # start keeps the progress, so retry with more budget
-                        budget *= 2
-                        continue
-                    alpha_hi = alpha
-                    alpha = alpha / 4.0 if alpha_lo is None else math.sqrt(alpha * alpha_lo)
-                elif res < lo_target:
-                    alpha_lo = alpha
-                    if alpha_hi is None:
-                        alpha *= 4.0
-                    else:
-                        alpha = math.sqrt(alpha * alpha_hi)
-                else:
-                    in_band = True
-                    break
-                if spent > total_budget:
-                    break
-                if alpha_hi is not None and alpha_lo is not None and alpha_hi / alpha_lo < 1.02:
-                    # the residual jumps across the band on this branch: no
-                    # in-band alpha exists, keep the closest attempt
-                    break
-            flagged = not in_band
-            alpha, report = best
-            x = haar.T @ report.solution
-            x_trunc = truncate_solution(x, cfg.caps.norm, cfg.caps.sup)
-            return TrialResult(
-                eta=eta, trial=t, delta_eff=dlt, alpha_or_kstar=alpha,
-                error=float(np.linalg.norm(report.solution - c_true)),
-                error_truncated=float(np.linalg.norm((haar @ x_trunc) - c_true)),
-                residual=report.final_residual,
-                truncated=not np.array_equal(x_trunc, x),
-                flagged=flagged,
-                ratio_delta2_alpha=dlt**2 / alpha,
-            )
-
-        trials = _run_trials(cfg, one_trial)
-        ratios = [t.ratio_delta2_alpha for t in trials if t.ratio_delta2_alpha is not None]
+        trials = []
+        for start in range(0, cfg.trials_per_eta, block_rows):
+            block = range(start, min(start + block_rows, cfg.trials_per_eta))
+            trials.extend(block_trials(eta_idx, eta, dlt, block))
+        ratios = [t.ratio_delta2_alpha for t in trials]
         summaries.append(
             _summarize(eta, dlt, trials, ratio_delta2_alpha=float(np.mean(ratios)))
         )

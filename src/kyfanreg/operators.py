@@ -185,25 +185,63 @@ class AutoconvGrid:
         return 1.0 / self.m
 
 
+def _fft_length(m: int) -> int:
+    # smallest power of two >= 2m - 1: the circular product then holds every
+    # lag of the linear convolution or correlation, so the first m entries
+    # carry no wrap-around
+    return 1 << (2 * m - 2).bit_length()
+
+
+def _kernel_args(grid: AutoconvGrid, **arrays) -> list:
+    # one check per call: every argument is (m,) or (B, m), all of one shape
+    out = [np.asarray(a, dtype=float) for a in arrays.values()]
+    shape = out[0].shape
+    for what, a in zip(arrays, out):
+        if a.ndim not in (1, 2) or a.shape[-1] != grid.m or a.shape != shape:
+            raise ValueError(
+                f"{what}: expected shape (m,) or (B, m) with m = {grid.m}, the same for "
+                f"every argument, got {a.shape} (first argument {shape})"
+            )
+    return out
+
+
+def _first_m(grid: AutoconvGrid, spectrum: np.ndarray, scale: float) -> np.ndarray:
+    # scale * (inverse transform)[..., :m]; scaled in place on the kept view
+    # so that a (B, m) batch allocates no more than the transform needs
+    out = np.fft.irfft(spectrum, _fft_length(grid.m))[..., : grid.m]
+    out *= scale
+    return out
+
+
 def autoconv_apply(grid: AutoconvGrid, x) -> np.ndarray:
-    """[F(x)]_k = h * sum_{j<=k} x_j x_{k-j}, the discrete autoconvolution."""
-    x = _as_vector(x, grid.m, "autoconvolution input")
-    return grid.h * np.convolve(x, x)[: grid.m]
+    """[F(x)]_k = h * sum_{j<=k} x_j x_{k-j}, the discrete autoconvolution.
+
+    ``x`` is one vector (m,) or a block (B, m) of B vectors, one per row.
+    """
+    (x,) = _kernel_args(grid, input=x)
+    spectrum = np.fft.rfft(x, _fft_length(grid.m))
+    spectrum *= spectrum
+    return _first_m(grid, spectrum, grid.h)
 
 
 def autoconv_derivative_apply(grid: AutoconvGrid, x, v) -> np.ndarray:
-    """F'(x) v = 2 h * (truncated convolution of x and v)."""
-    x = _as_vector(x, grid.m, "linearization point")
-    v = _as_vector(v, grid.m, "direction")
-    return 2.0 * grid.h * np.convolve(x, v)[: grid.m]
+    """F'(x) v = 2 h * (truncated convolution of x and v), row by row."""
+    x, v = _kernel_args(grid, linearization_point=x, direction=v)
+    n = _fft_length(grid.m)
+    spectrum = np.fft.rfft(x, n)
+    spectrum *= np.fft.rfft(v, n)
+    return _first_m(grid, spectrum, 2.0 * grid.h)
 
 
 def autoconv_derivative_adjoint_apply(grid: AutoconvGrid, x, r) -> np.ndarray:
-    """F'(x)* r, the transpose of the truncated-convolution matrix."""
-    x = _as_vector(x, grid.m, "linearization point")
-    r = _as_vector(r, grid.m, "residual")
+    """F'(x)* r, the transpose of the truncated-convolution matrix, row by row."""
+    x, r = _kernel_args(grid, linearization_point=x, residual=r)
+    n = _fft_length(grid.m)
     # (F'(x)* r)_j = 2h * sum_{k>=j} x_{k-j} r_k: correlation at nonnegative lags
-    return 2.0 * grid.h * np.correlate(r, x, mode="full")[grid.m - 1 :]
+    spectrum = np.fft.rfft(x, n)
+    np.conjugate(spectrum, out=spectrum)
+    spectrum *= np.fft.rfft(r, n)
+    return _first_m(grid, spectrum, 2.0 * grid.h)
 
 
 _SQRT2 = math.sqrt(2.0)

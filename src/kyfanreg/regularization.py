@@ -15,7 +15,6 @@ Conventions
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,12 +77,19 @@ class LandweberFilter:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a solver run; final_residual is ||forward(solution) - data||."""
+    """Outcome of a solver run; final_residual is ||forward(solution) - data||.
+
+    A batched prox-gradient solve reports (B,) arrays of final residuals,
+    per-row iteration counts and convergence flags; ``iterations`` is then
+    the total over rows.
+    """
 
     solution: np.ndarray
     iterations: int
     final_residual: float
     objective_trace: tuple = ()
+    row_iterations: np.ndarray | None = None
+    converged: np.ndarray | None = None
 
 
 class NonConvergence(RuntimeError):
@@ -240,31 +246,48 @@ def _check_prox_args(t: np.ndarray, p: float) -> None:
 def _prox_lp(v: np.ndarray, t: np.ndarray, p: float) -> np.ndarray:
     # prox_weighted_lp on float arrays whose arguments were already checked
     if p == 1.0:
-        return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+        out = np.maximum(np.abs(v) - t, 0.0)
+        out *= np.sign(v)
+        return out
     if p == 2.0:
         return v / (1.0 + 2.0 * t)
     return _prox_power_vec(np.atleast_1d(v), np.atleast_1d(t), p).reshape(v.shape)
 
 
-def _norm(v: np.ndarray) -> float:
-    # what np.linalg.norm computes for a vector, without its dispatch overhead
-    v = v.ravel(order="K")
-    return math.sqrt(float(v @ v))
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    # Euclidean norm of each row; every row is reduced the same way whatever
+    # the number of rows, so a batched row matches its one-row solve
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
+
+
+def _per_row(value, rows: int, what: str, dtype=float) -> np.ndarray:
+    arr = np.asarray(value, dtype=dtype)
+    if arr.ndim > 1 or (arr.ndim == 1 and arr.size != rows):
+        raise ValueError(f"{what}: expected a scalar or one value per row ({rows}), got {arr.shape}")
+    return np.broadcast_to(arr, (rows,)).copy()
+
+
+def _as_block(fn, batched: bool):
+    # the loops below work on (B, m) blocks; a 1-d problem is the B = 1 case,
+    # and its callbacks still see vectors
+    if batched:
+        return fn
+    return lambda *args: np.asarray(fn(*(a[0] for a in args)), dtype=float)[np.newaxis]
 
 
 def prox_gradient_solve(
     forward,
     derivative_adjoint,
     y,
-    alpha: float,
+    alpha,
     weights,
     p: float,
-    step: float,
+    step,
     x0,
     tol: float = 1e-10,
-    max_iter: int = 5000,
+    max_iter=5000,
     record_objective: bool = False,
-    residual_floor: float | None = None,
+    residual_floor=None,
 ) -> SolveReport:
     """Proximal gradient descent on ||F(x) - y||^2 + alpha * sum w_i |x_i|^p.
 
@@ -276,66 +299,134 @@ def prox_gradient_solve(
     enables discrepancy-style early stopping: the iteration also ends once
     ||F(x) - y|| falls to that level (there is no point fitting the data
     more accurately than the noise).
+
+    Batches: with ``x0`` and ``y`` of shape (B, m), each row is its own
+    problem.  ``alpha``, ``step``, ``max_iter`` and ``residual_floor`` are
+    then scalars or one value per row, and ``forward(x)`` and
+    ``derivative_adjoint(x, r)`` must act row by row on any (k, m) block of
+    the rows: a row leaves the block as soon as it stops.  The report's
+    ``solution`` is (B, m), ``final_residual`` is a (B,) array and
+    ``iterations`` is the total over rows; ``row_iterations`` and
+    ``converged`` hold each row's count and outcome.  NonConvergence is
+    raised when any row exhausts its budget.  A 1-d problem is the B = 1
+    case, with vector callbacks, a float residual and ``record_objective``
+    (which batches do not support).
     """
-    if not (alpha > 0.0):
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    if not (step > 0.0):
-        raise ValueError(f"step must be positive, got {step!r}")
+    x = np.asarray(x0, dtype=float)
+    if x.ndim not in (1, 2):
+        raise ValueError(f"x0 must be a vector or a (B, m) block, got shape {x.shape}")
+    batched = x.ndim == 2
+    x = x.reshape(-1, x.shape[-1])
+    rows, n = x.shape
     y = np.asarray(y, dtype=float)
-    x = np.asarray(x0, dtype=float).copy()
-    w = np.ones_like(x) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != x.shape:
+    if y.shape != np.shape(x0):
+        raise ValueError(f"data shape {y.shape} does not match the unknown's {np.shape(x0)}")
+    y = y.reshape(rows, n)
+    alpha = _per_row(alpha, rows, "alpha")
+    step = _per_row(step, rows, "step")
+    if not np.all(alpha > 0.0):
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    if not np.all(step > 0.0):
+        raise ValueError(f"step must be positive, got {step!r}")
+    budget = _per_row(max_iter, rows, "max_iter", dtype=int)
+    floor = _per_row(-np.inf if residual_floor is None else residual_floor, rows, "residual_floor")
+    # unit weights broadcast from one entry, so thresholds stay (B, 1)
+    w = np.ones(1) if weights is None else np.asarray(weights, dtype=float)
+    if weights is not None and w.shape != (n,):
         raise ValueError("weights must match the unknown's shape")
-    thresh = step * alpha * w / 2.0
+    if record_objective and batched:
+        raise ValueError("record_objective needs a 1-d problem")
+    thresh = (step * alpha)[:, np.newaxis] * w / 2.0
     # validated once here; the loop applies the unchecked map
     _check_prox_args(thresh, p)
+    forward = _as_block(forward, batched)
+    derivative_adjoint = _as_block(derivative_adjoint, batched)
 
     def objective(xv, residual):
-        return float(residual @ residual + alpha * np.sum(w * np.abs(xv) ** p))
+        return float(residual @ residual + alpha[0] * np.sum(w * np.abs(xv) ** p))
 
+    solution = np.empty_like(x)
+    final = np.empty(rows)
+    row_iterations = np.zeros(rows, dtype=int)
+    converged = np.zeros(rows, dtype=bool)
+    active = np.arange(rows)
     trace = []
     r = forward(x) - y
+    res_norm = _row_norms(r)
     if record_objective:
-        trace.append(objective(x, r))
-    for k in range(1, max_iter + 1):
-        v = x - step * derivative_adjoint(x, r)
+        trace.append(objective(x[0], r[0]))
+    stop = np.zeros(rows, dtype=bool)
+    k = 0
+    while True:
+        done = stop | (k >= budget)
+        if done.any():
+            idx = active[done]
+            solution[idx] = x[done]
+            final[idx] = res_norm[done]
+            row_iterations[idx] = k
+            converged[idx] = stop[done]
+            keep = ~done
+            active, x, r, y = active[keep], x[keep], r[keep], y[keep]
+            step, thresh, floor, budget = step[keep], thresh[keep], floor[keep], budget[keep]
+            if not active.size:
+                break
+        k += 1
+        v = np.multiply(step[:, np.newaxis], derivative_adjoint(x, r))
+        np.subtract(x, v, out=v)
         x_next = _prox_lp(v, thresh, p)
-        shift = _norm(x_next - x)
+        shift = _row_norms(x_next - x)
         x = x_next
         r = forward(x) - y
         if record_objective:
-            trace.append(objective(x, r))
-        res_norm = _norm(r)
-        if shift <= tol or (residual_floor is not None and res_norm <= residual_floor):
-            return SolveReport(
-                solution=x,
-                iterations=k,
-                final_residual=res_norm,
-                objective_trace=tuple(trace),
-            )
+            trace.append(objective(x[0], r[0]))
+        res_norm = _row_norms(r)
+        stop = (shift <= tol) | (res_norm <= floor)
+
     report = SolveReport(
-        solution=x,
-        iterations=max_iter,
-        final_residual=_norm(r),
+        solution=solution if batched else solution[0],
+        iterations=int(row_iterations.sum()),
+        final_residual=final if batched else float(final[0]),
         objective_trace=tuple(trace),
+        row_iterations=row_iterations,
+        converged=converged,
     )
-    raise NonConvergence(
-        f"proximal gradient did not reach displacement {tol:.3g} in {max_iter} iterations",
-        report,
-    )
+    if not converged.all():
+        failed = ~converged
+        raise NonConvergence(
+            f"proximal gradient did not reach displacement {tol:.3g} in "
+            f"{int(row_iterations[failed].max())} iterations ({int(failed.sum())} of {rows} row(s))",
+            report,
+        )
+    return report
 
 
-def operator_norm_squared(apply_fn, adjoint_fn, n: int, iters: int = 50, seed: int = 0) -> float:
-    """Estimate ||M||^2 by power iteration on M*M for a linear map of width n."""
+def operator_norm_squared(
+    apply_fn, adjoint_fn, n: int, iters: int = 50, seed: int = 0, rows: int | None = None
+):
+    """Estimate ||M||^2 by power iteration on M*M for a linear map of width n.
+
+    With ``rows`` set, ``apply_fn`` and ``adjoint_fn`` act on a (rows, n)
+    block, row i through its own linear map M_i, and a (rows,) array of
+    estimates is returned.  Every row starts from the same seeded vector
+    and runs the iteration a one-row call would run.
+    """
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
+    batched = rows is not None
+    v = np.tile(rng.standard_normal(n), (rows if batched else 1, 1))
+    v /= _row_norms(v)[:, np.newaxis]
+    apply_fn = _as_block(apply_fn, batched)
+    adjoint_fn = _as_block(adjoint_fn, batched)
+    lam = np.zeros(v.shape[0])
+    # a row whose M*M v vanishes has norm estimate 0
+    live = np.ones(v.shape[0], dtype=bool)
     for _ in range(iters):
         u = adjoint_fn(apply_fn(v))
-        norm = np.linalg.norm(u)
-        if norm == 0.0:
-            return 0.0
-        lam = float(v @ u)
-        v = u / norm
-    return max(lam, float(np.linalg.norm(apply_fn(v))) ** 2)
+        norm = _row_norms(u)
+        live &= norm != 0.0
+        if not live.any():
+            break
+        lam = np.where(live, np.einsum("ij,ij->i", v, u), lam)
+        # a dead row's u is (numerically) zero and is ignored from here on
+        v = u / np.where(live, norm, 1.0)[:, np.newaxis]
+    est = np.where(live, np.maximum(lam, _row_norms(apply_fn(v)) ** 2), 0.0)
+    return est if batched else float(est[0])

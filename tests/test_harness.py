@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from kyfanreg import harness
 from kyfanreg.config import ConfigError, parse_config
 from kyfanreg.harness import (
     CSV_COLUMNS,
@@ -133,6 +134,29 @@ class TestFilterStudy:
         res4 = run_study(dataclasses.replace(cfg, workers=4))
         assert res1.trials == res4.trials
         assert res1.summaries == res4.summaries
+
+    def test_blocks_match_one_trial_at_a_time(self, monkeypatch):
+        cfg = parse_config({
+            "schema_version": 1, "study": "autoconv", "seed": 5,
+            "eta_grid": [1e-1, 1e-2], "trials_per_eta": 30,
+            "noise_level": {"mode": "inflated-expectation", "tau": {"kind": "log-inflating"}},
+            "caps": {"norm": 100.0, "sup": 100.0},
+            "operator": {"kind": "autoconv", "size": 32},
+            "truth": {"kind": "two-bump", "amplitude": 0.31},
+            "rule": {"kind": "discrepancy", "tau1": 1.1, "tau2": 1.3},
+        })
+        together = run_study(cfg)  # one block holds all 30 trials at m = 32
+        monkeypatch.setattr(harness, "_BLOCK_DOUBLES", 32)  # one trial per block
+        alone = run_study(cfg)
+        # trivial, flagged and in-band trials all occur, and one-trial blocks
+        # of trivial data solve nothing
+        assert any(math.isinf(t.alpha_or_kstar) for t in together.trials)
+        assert any(t.flagged for t in together.trials)
+        assert any(not t.flagged for t in together.trials)
+        for a, b in zip(together.trials, alone.trials):
+            assert (a.eta, a.trial, a.flagged, a.truncated) == (b.eta, b.trial, b.flagged, b.truncated)
+            for field in ("alpha_or_kstar", "error", "error_truncated", "residual"):
+                assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9)
 
     def test_csv_determinism(self, tmp_path):
         cfg = filter_config(trials_per_eta=30, eta_grid=[0.1, 0.01])
@@ -311,6 +335,25 @@ class TestConfigValidation:
         assert filter_config(workers=4).workers == 4
         with pytest.raises(ConfigError, match="workers"):
             filter_config(workers=0)
+
+    def test_unknown_solver_keys_are_named(self):
+        with pytest.raises(ConfigError, match="config.solver") as info:
+            filter_config(solver={"filtre": "tsvd", "max_iterz": 3})
+        assert "filtre" in str(info.value) and "max_iterz" in str(info.value)
+
+    def test_solver_keys_belong_to_the_study(self):
+        assert filter_config(solver={"filter": "tsvd"}).solver == {"filter": "tsvd"}
+        # an autoconv knob is not a filter-study knob
+        with pytest.raises(ConfigError, match="tol"):
+            filter_config(solver={"tol": 1e-6})
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_out_of_range(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            filter_config(seed=seed)
+
+    def test_largest_seed_accepted(self):
+        assert filter_config(seed=2**64 - 1).seed == 2**64 - 1
 
     def test_rejects_deflating_tau(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kyfanreg.operators import (
     AutoconvGrid,
@@ -172,6 +175,90 @@ class TestAutoconvolution:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             autoconv_apply(self.grid, np.ones(32))
+
+
+def _conv_ref(x, v):
+    # O(m^2) double sum: h * sum_{j<=k} x_j v_{k-j}
+    m = len(x)
+    return np.array([sum(x[j] * v[k - j] for j in range(k + 1)) / m for k in range(m)])
+
+
+def _corr_ref(x, r):
+    # O(m^2) double sum: h * sum_{k>=j} x_{k-j} r_k
+    m = len(x)
+    return np.array([sum(x[k - j] * r[k] for k in range(j, m)) / m for j in range(m)])
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """x, v, r of one shape: a vector (m,) or a block (B, m), m and B from 1."""
+    m = draw(st.integers(min_value=1, max_value=33))
+    rows = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=4)))
+    shape = (m,) if rows is None else (rows, m)
+    elements = st.floats(min_value=-10.0, max_value=10.0, allow_subnormal=False)
+    return tuple(draw(arrays(np.float64, shape, elements=elements)) for _ in range(3))
+
+
+def _rows(a):
+    return np.atleast_2d(a)
+
+
+class TestAutoconvKernelsProperties:
+    """The FFT kernels against O(m^2) double sums, on vectors and row blocks."""
+
+    @given(_kernel_inputs())
+    @example((np.array([3.0]), np.array([-2.0]), np.array([0.5])))
+    @example((np.array([[3.0]]), np.array([[-2.0]]), np.array([[0.5]])))
+    @example(tuple(np.arange(1.0, 6.0).reshape(1, 5) * s for s in (1.0, -0.5, 2.0)))
+    @settings(max_examples=150, deadline=None)
+    def test_match_double_sums(self, xvr):
+        x, v, r = xvr
+        grid = AutoconvGrid(x.shape[-1])
+        outs = (
+            autoconv_apply(grid, x),
+            autoconv_derivative_apply(grid, x, v),
+            autoconv_derivative_adjoint_apply(grid, x, r),
+        )
+        for out in outs:
+            assert out.shape == x.shape
+        scale = 1.0 + np.max(np.abs(x)) * max(np.max(np.abs(x)), np.max(np.abs(v)), np.max(np.abs(r)))
+        for xi, vi, ri, f, d, a in zip(_rows(x), _rows(v), _rows(r), *map(_rows, outs)):
+            assert np.max(np.abs(f - _conv_ref(xi, xi))) <= 1e-12 * scale
+            assert np.max(np.abs(d - 2.0 * _conv_ref(xi, vi))) <= 1e-12 * scale
+            assert np.max(np.abs(a - 2.0 * _corr_ref(xi, ri))) <= 1e-12 * scale
+
+    @given(_kernel_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_adjoint_and_taylor_identities(self, xvr):
+        x, v, r = xvr
+        grid = AutoconvGrid(x.shape[-1])
+        size = max(np.max(np.abs(x)), np.max(np.abs(v)), np.max(np.abs(r)), 1.0)
+        lhs = np.sum(autoconv_derivative_apply(grid, x, v) * r, axis=-1)
+        rhs = np.sum(v * autoconv_derivative_adjoint_apply(grid, x, r), axis=-1)
+        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * size**3
+        taylor = (
+            autoconv_apply(grid, x + v)
+            - autoconv_apply(grid, x)
+            - autoconv_derivative_apply(grid, x, v)
+            - autoconv_apply(grid, v)
+        )
+        assert np.max(np.abs(taylor)) <= 1e-12 * size**2
+
+    def test_rows_are_independent(self):
+        grid = AutoconvGrid(16)
+        x, r = rng.standard_normal((2, 5, 16))
+        block = autoconv_derivative_adjoint_apply(grid, x, r)
+        for i in range(5):
+            assert np.array_equal(block[i], autoconv_derivative_adjoint_apply(grid, x[i], r[i]))
+
+    def test_rejects_mismatched_shapes(self):
+        grid = AutoconvGrid(8)
+        with pytest.raises(ValueError):
+            autoconv_derivative_apply(grid, np.ones((2, 8)), np.ones((3, 8)))
+        with pytest.raises(ValueError):
+            autoconv_derivative_adjoint_apply(grid, np.ones(8), np.ones((1, 8)))
+        with pytest.raises(ValueError):
+            autoconv_apply(grid, np.ones((2, 2, 8)))
 
 
 class TestHaar:

@@ -250,6 +250,115 @@ class TestProxGradient:
         assert report.iterations < 1000
 
 
+def _one_row(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except NonConvergence as exc:
+        return exc.report
+
+
+@st.composite
+def _diagonal_batches(draw):
+    """Rows of independent diagonal problems with per-row alpha, step, budget, floor."""
+    rows = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=12))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    gen = np.random.default_rng(seed)
+    sigma = np.sort(gen.uniform(0.05, 1.0, n))[::-1]
+    y = gen.standard_normal((rows, n)) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    alpha = 10.0 ** gen.uniform(-4.0, 1.0, rows)
+    step = gen.uniform(0.2, 1.0, rows)
+    budget = gen.integers(0, 400, rows)
+    floor = gen.uniform(0.0, 1.0, rows) * np.linalg.norm(y, axis=1)
+    x0 = gen.standard_normal((rows, n))
+    p = draw(st.sampled_from([1.0, 2.0]))
+    return sigma, y, alpha, step, budget, floor, x0, p
+
+
+class TestBatchedSolves:
+    """A (B, m) solve is B one-row solves run together."""
+
+    @given(_diagonal_batches())
+    @settings(max_examples=100, deadline=None)
+    def test_prox_rows_match_one_row_solves(self, problem):
+        sigma, y, alpha, step, budget, floor, x0, p = problem
+        fwd = lambda x: sigma * x  # noqa: E731 - acts on vectors and row blocks
+        adj = lambda x, r: sigma * r  # noqa: E731
+        batch = _one_row(
+            prox_gradient_solve, fwd, adj, y, alpha=alpha, weights=None, p=p, step=step,
+            x0=x0, tol=1e-9, max_iter=budget, residual_floor=floor,
+        )
+        assert batch.solution.shape == y.shape
+        assert batch.iterations == int(np.sum(batch.row_iterations))
+        for i in range(y.shape[0]):
+            one = _one_row(
+                prox_gradient_solve, fwd, adj, y[i], alpha=alpha[i], weights=None, p=p,
+                step=step[i], x0=x0[i], tol=1e-9, max_iter=int(budget[i]),
+                residual_floor=floor[i],
+            )
+            assert batch.row_iterations[i] == one.iterations
+            assert batch.converged[i] == one.converged[0]
+            scale = max(np.max(np.abs(one.solution)), 1e-300)
+            assert np.max(np.abs(batch.solution[i] - one.solution)) <= 1e-12 * scale
+            assert batch.final_residual[i] == pytest.approx(one.final_residual, rel=1e-12, abs=1e-300)
+
+    def test_autoconv_rows_match_one_row_solves(self):
+        grid = AutoconvGrid(32)
+        gen = np.random.default_rng(11)
+        x0 = 1.0 + 0.1 * gen.standard_normal((4, 32))
+        y = autoconv_apply(grid, x0 + 0.05 * gen.standard_normal((4, 32)))
+        fwd = lambda x: autoconv_apply(grid, x)  # noqa: E731
+        adj = lambda x, r: autoconv_derivative_adjoint_apply(grid, x, r)  # noqa: E731
+        kwargs = dict(weights=None, p=1.0, tol=1e-6)
+        alpha, step, budget = np.array([1e-2, 1e-1, 1.0, 1e-3]), 0.2, np.array([400, 50, 400, 5])
+        batch = _one_row(prox_gradient_solve, fwd, adj, y, alpha=alpha, step=step,
+                         x0=x0, max_iter=budget, **kwargs)
+        assert not batch.converged.all() and batch.converged.any()
+        for i in range(4):
+            one = _one_row(prox_gradient_solve, fwd, adj, y[i], alpha=alpha[i], step=step,
+                           x0=x0[i], max_iter=int(budget[i]), **kwargs)
+            assert batch.row_iterations[i] == one.iterations
+            assert np.max(np.abs(batch.solution[i] - one.solution)) <= 1e-12 * np.max(np.abs(one.solution))
+
+    @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=10),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_operator_norm_rows_match_one_row(self, rows, n, seed):
+        gen = np.random.default_rng(seed)
+        mats = gen.standard_normal((rows, n, n))
+        mats[0] *= gen.integers(0, 2)  # sometimes the zero map
+        batch = operator_norm_squared(
+            lambda v: np.einsum("bij,bj->bi", mats, v),
+            lambda u: np.einsum("bji,bj->bi", mats, u),
+            n, iters=20, seed=3, rows=rows,
+        )
+        assert batch.shape == (rows,)
+        for i in range(rows):
+            one = operator_norm_squared(
+                lambda v: mats[i] @ v, lambda u: mats[i].T @ u, n, iters=20, seed=3
+            )
+            assert batch[i] == pytest.approx(one, rel=1e-12, abs=1e-300)
+
+    def test_batch_rejects_objective_recording(self):
+        with pytest.raises(ValueError, match="1-d"):
+            prox_gradient_solve(
+                lambda x: x, lambda x, r: r, np.ones((2, 3)), alpha=0.1, weights=None,
+                p=1.0, step=1.0, x0=np.zeros((2, 3)), record_objective=True,
+            )
+
+    def test_per_row_arguments_are_checked(self):
+        with pytest.raises(ValueError, match="alpha"):
+            prox_gradient_solve(
+                lambda x: x, lambda x, r: r, np.ones((2, 3)), alpha=[0.1, -1.0],
+                weights=None, p=1.0, step=1.0, x0=np.zeros((2, 3)),
+            )
+        with pytest.raises(ValueError, match="per row"):
+            prox_gradient_solve(
+                lambda x: x, lambda x, r: r, np.ones((2, 3)), alpha=[0.1, 0.2, 0.3],
+                weights=None, p=1.0, step=1.0, x0=np.zeros((2, 3)),
+            )
+
+
 class TestLandweberNonlinear:
     grid = AutoconvGrid(64)
 
