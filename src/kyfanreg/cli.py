@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, load_config
-from .harness import CSV_COLUMNS, export, export_autoconv_panels, fit_rate, run_study
+from .harness import export, export_autoconv_panels, fit_rate, run_study
 from .noise import (
     EmpiricalSample,
     NoiseSpec,
@@ -82,8 +82,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = top.add_parser("run", help="Monte Carlo studies")
     run_sub = run.add_subparsers(dest="subcommand", required=True)
-    for name in ("filter-study", "autoconv", "besov", "nu-random"):
+    for name, study in (
+        ("filter-study", "filter"), ("autoconv", "autoconv"),
+        ("besov", "besov"), ("nu-random", "nu-random"),
+    ):
         sub = run_sub.add_parser(name)
+        sub.set_defaults(study=study)
         sub.add_argument("--config", required=True)
         sub.add_argument("--out", default=None, help="summary CSV path (default: stdout)")
 
@@ -99,14 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     nu.add_argument("--rho", type=float, required=True)
 
     return parser
-
-
-_STUDY_BY_COMMAND = {
-    "filter-study": "filter",
-    "autoconv": "autoconv",
-    "besov": "besov",
-    "nu-random": "nu-random",
-}
 
 
 def _cmd_kyfan(args) -> int:
@@ -141,30 +137,16 @@ def _cmd_kyfan(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    expected = _STUDY_BY_COMMAND[args.subcommand]
-    if cfg.study != expected:
+    if cfg.study != args.study:
         raise ConfigError(
-            f"config declares study {cfg.study!r} but the subcommand expects {expected!r}"
+            f"config declares study {cfg.study!r} but the subcommand expects {args.study!r}"
         )
     result = run_study(cfg)
-    if args.out is not None:
-        if cfg.study == "autoconv":
-            export_autoconv_panels(result.summaries, args.out)
-        else:
-            export(result.summaries, args.out)
+    out = sys.stdout if args.out is None else args.out
+    if cfg.study == "autoconv":
+        export_autoconv_panels(result.summaries, out)
     else:
-        if cfg.study == "autoconv":
-            print("eta,ratio_delta2_over_alpha,err")
-            for s in result.summaries:
-                print(f"{s.eta:.17g},{s.ratio_delta2_alpha:.17g},{s.err_kyfan:.17g}")
-        else:
-            print(",".join(CSV_COLUMNS))
-            for s in result.summaries:
-                print(
-                    f"{s.eta:.17g},{s.delta_eff:.17g},{s.alpha_or_kstar:.17g},"
-                    f"{s.err_mean:.17g},{s.err_kyfan:.17g},{s.residual_mean:.17g},"
-                    f"{s.trials},{s.truncated_count}"
-                )
+        export(result.summaries, out)
     worst = max((s.flagged_count / s.trials for s in result.summaries), default=0.0)
     if worst > _FLAGGED_LIMIT:
         print(

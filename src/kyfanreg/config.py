@@ -21,10 +21,7 @@ caps           : {norm: R, sup: S} truncation caps for expectation summaries
 operator       : study-dependent operator spec (see below)
 truth          : study-dependent ground-truth spec
 rule           : parameter-choice rule spec
-solver         : optional study-specific solver knobs; each study accepts
-                 only its own keys (filter: filter; autoconv: tol,
-                 max_iter, max_budget, total_budget, max_alpha_steps,
-                 step_safety; besov: s, p, d; nu-random: gamma, kmax)
+solver         : optional study-specific solver knobs (see _STUDY_SPECS)
 
 Operator specs: {kind: diagonal, singular_values: [...]},
 {kind: diagonal-powerlaw, size: n, decay: q} for sigma_k = k^-q,
@@ -68,13 +65,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-_STUDIES = ("filter", "autoconv", "besov", "nu-random")
-_SOLVER_KEYS = {
-    "filter": ("filter",),
-    "autoconv": ("tol", "max_iter", "max_budget", "total_budget", "max_alpha_steps", "step_safety"),
-    "besov": ("s", "p", "d"),
-    "nu-random": ("gamma", "kmax"),
-}
 
 
 class ConfigError(ValueError):
@@ -140,7 +130,7 @@ def _take(mapping: dict, where: str, required: dict, optional: dict | None = Non
     known = set(required) | set(optional)
     unknown = set(mapping) - known
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown)!r}; allowed: {sorted(known)}")
+        raise ConfigError(f"{where}: unknown key(s) {sorted(unknown, key=str)!r}; allowed: {sorted(known)}")
     out = {}
     for key, kind in required.items():
         if key not in mapping:
@@ -152,6 +142,10 @@ def _take(mapping: dict, where: str, required: dict, optional: dict | None = Non
 
 
 def _coerce(value, kind, where: str):
+    if isinstance(kind, tuple):  # one of these strings
+        if value not in kind:
+            raise ConfigError(f"{where}: expected one of {list(kind)}, got {value!r}")
+        return value
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where}: expected a number, got {value!r}")
@@ -218,43 +212,69 @@ _TRUTH_SCHEMAS = {
 }
 
 
+_RULE_SCHEMAS = {
+    "apriori": (AprioriFilter, {"beta": float, "nu": float, "rho": float}, {"constant": (float, 1.0)}),
+    "discrepancy": (Discrepancy, {"tau1": float, "tau2": float}, {}),
+    "discrepancy-stop": (DiscrepancyStop, {"tau_hat": float}, {}),
+    "fixed": (Fixed, {"alpha": float}, {}),
+    "kyfan-squared": (KyFanSquared, {}, {"scale": (float, 1.0)}),
+    "besov-balance": (BesovBalanceRule, {}, {"constant": (float, 1.0)}),
+}
+
+# What each study runs: its operator, truth and rule kinds, and its solver
+# keys with their types and defaults.  Any other kind or key is a
+# ConfigError, and a parsed config's ``solver`` holds every key of its study.
+_DIAGONAL_KINDS = ("diagonal", "diagonal-powerlaw", "haar-diagonal")
+_STUDY_SPECS = {
+    "filter": {
+        "operator": (*_DIAGONAL_KINDS, "csv"),
+        "truth": ("explicit", "source-powerlaw"),
+        "rule": ("apriori", "fixed", "discrepancy"),
+        "solver": {"filter": (("tikhonov", "tsvd"), "tikhonov")},
+    },
+    "autoconv": {
+        "operator": ("autoconv",),
+        "truth": ("two-bump", "explicit", "source-powerlaw"),
+        "rule": ("discrepancy",),
+        "solver": {
+            "tol": (float, 1e-6),
+            "max_iter": (int, 800),
+            "max_budget": (int, 6400),
+            "total_budget": (int, 20000),
+            "max_alpha_steps": (int, 40),
+            "step_safety": (float, 0.9),
+        },
+    },
+    "besov": {
+        "operator": ("haar-diagonal",),
+        "truth": ("level-spikes",),
+        "rule": ("kyfan-squared", "besov-balance"),
+        "solver": {"s": (float, 1.0), "p": (float, 1.0), "d": (int, 1)},
+    },
+    "nu-random": {
+        "operator": _DIAGONAL_KINDS,
+        "truth": ("random-source",),
+        "rule": ("discrepancy-stop",),
+        # gamma None: the study uses 0.9 / sigma_1^2
+        "solver": {"gamma": (float, None), "kmax": (int, 10**7)},
+    },
+}
+
+
 def _parse_kinded(spec: dict, schemas: dict, where: str) -> dict:
-    kind = _mapping(spec, where).get("kind")
-    if kind not in schemas:
-        raise ConfigError(f"{where}: unknown kind {kind!r}; allowed: {sorted(schemas)}")
-    required, optional = schemas[kind]
+    # the study's kind check has run: every kind that reaches here is known
+    required, optional = schemas[spec["kind"]]
     return _take(spec, where, required, optional)
 
 
 def _parse_rule(spec: dict, where: str):
-    kind = _mapping(spec, where).get("kind")
+    make, required, optional = _RULE_SCHEMAS[spec["kind"]]
+    got = _take(spec, where, {"kind": str, **required}, optional)
+    del got["kind"]
     try:
-        if kind == "apriori":
-            got = _take(
-                spec,
-                where,
-                {"kind": str, "beta": float, "nu": float, "rho": float},
-                {"constant": (float, 1.0)},
-            )
-            return AprioriFilter(beta=got["beta"], nu=got["nu"], rho=got["rho"], constant=got["constant"])
-        if kind == "discrepancy":
-            got = _take(spec, where, {"kind": str, "tau1": float, "tau2": float})
-            return Discrepancy(tau1=got["tau1"], tau2=got["tau2"])
-        if kind == "discrepancy-stop":
-            got = _take(spec, where, {"kind": str, "tau_hat": float})
-            return DiscrepancyStop(tau_hat=got["tau_hat"])
-        if kind == "fixed":
-            got = _take(spec, where, {"kind": str, "alpha": float})
-            return Fixed(alpha=got["alpha"])
-        if kind == "kyfan-squared":
-            got = _take(spec, where, {"kind": str}, {"scale": (float, 1.0)})
-            return KyFanSquared(scale=got["scale"])
-        if kind == "besov-balance":
-            got = _take(spec, where, {"kind": str}, {"constant": (float, 1.0)})
-            return BesovBalanceRule(constant=got["constant"])
+        return make(**got)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown rule kind {kind!r}")
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -280,17 +300,18 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(
             f"config.schema_version: expected {SCHEMA_VERSION}, got {top['schema_version']!r}"
         )
-    if top["study"] not in _STUDIES:
-        raise ConfigError(f"config.study: unknown study {top['study']!r}; allowed: {_STUDIES}")
+    if top["study"] not in _STUDY_SPECS:
+        raise ConfigError(f"config.study: unknown study {top['study']!r}; allowed: {list(_STUDY_SPECS)}")
     if not 0 <= top["seed"] < 2**64:
         raise ConfigError(f"config.seed: must lie in [0, 2**64), got {top['seed']!r}")
-    allowed = _SOLVER_KEYS[top["study"]]
-    unknown = set(top["solver"]) - set(allowed)
-    if unknown:
-        raise ConfigError(
-            f"config.solver: unknown key(s) {sorted(unknown, key=str)!r} for the "
-            f"{top['study']} study; allowed: {list(allowed)}"
-        )
+    study = _STUDY_SPECS[top["study"]]
+    for key in ("operator", "truth", "rule"):
+        kind, allowed = top[key].get("kind"), study[key]
+        if kind not in allowed:
+            raise ConfigError(
+                f"config.{key}: kind {kind!r} is not usable in the {top['study']} study; "
+                f"allowed: {list(allowed)}"
+            )
 
     grid = [_coerce(v, float, "config.eta_grid[*]") for v in top["eta_grid"]]
     if not grid or any(not (v > 0.0) for v in grid):
@@ -319,7 +340,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         operator=_parse_kinded(top["operator"], _OPERATOR_SCHEMAS, "config.operator"),
         truth=_parse_kinded(top["truth"], _TRUTH_SCHEMAS, "config.truth"),
         rule=_parse_rule(top["rule"], "config.rule"),
-        solver=dict(top["solver"]),
+        solver=_take(top["solver"], "config.solver", {}, study["solver"]),
         workers=top["workers"],
     )
 

@@ -7,6 +7,11 @@ reconstruction error.  Per-eta summaries report the mean error of the
 truncated solutions, the empirical Ky Fan error of the raw errors, and the
 mean chosen parameter.
 
+One driver, ``run_study``, owns the only loop over the eta grid: noise
+level, blocks of trials, summary.  A study supplies only what differs: its
+setup, its once-per-eta work and a block solve.  ``_trial_result`` records
+every trial.  The parsed config is known to suit the study.
+
 Determinism: every trial draws from a generator keyed by
 (seed, eta_index << 32 | trial), and trials run serially in trial order,
 so the config's ``workers`` value changes neither the outputs nor the
@@ -18,11 +23,13 @@ size and the trial order, so its outputs repeat exactly as well.
 from __future__ import annotations
 
 import math
+import os
+import typing
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import BesovBalanceRule, ExperimentConfig, KyFanSquared
+from .config import ExperimentConfig, KyFanSquared
 from .noise import (
     NoiseSpec,
     delta_eff,
@@ -54,8 +61,6 @@ from .regularization import (
 from .rules import (
     AprioriFilter,
     BesovBalanceParams,
-    Discrepancy,
-    DiscrepancyStop,
     Fixed,
     NoBracket,
     NoFeasibleAlpha,
@@ -142,24 +147,70 @@ def fit_rate(points) -> RateFit:
     )
 
 
-# -- shared study machinery ---------------------------------------------------
+# -- the study driver ---------------------------------------------------------
 
 
-def _stream_index(eta_idx: int, trial: int) -> int:
-    return (eta_idx << 32) | trial
+def run_study(cfg: ExperimentConfig) -> StudyResult:
+    """Run the configured Monte Carlo study; deterministic given the seed.
+
+    The study's setup returns the data dimension, the trials per block and
+    ``at_eta(eta, delta_eff) -> (solve_block, rate_theory)``, which does the
+    once-per-eta work.  ``solve_block(trials, rngs)`` draws each trial's data
+    from its generator and returns the trials' records.
+    """
+    m, block_rows, at_eta = _STUDIES[cfg.study](cfg)
+    summaries, all_trials = [], []
+    for eta_idx, eta in enumerate(cfg.eta_grid):
+        dlt = delta_eff(NoiseSpec(eta=eta, m=m), cfg.noise_mode)
+        solve_block, rate_theory = at_eta(eta, dlt)
+        trials = []
+        for start in range(0, cfg.trials_per_eta, block_rows):
+            block = range(start, min(start + block_rows, cfg.trials_per_eta))
+            rngs = [trial_rng(cfg.seed, (eta_idx << 32) | t) for t in block]
+            trials.extend(solve_block(block, rngs))
+        summaries.append(_summarize(eta, dlt, trials, rate_theory))
+        all_trials.extend(trials)
+    return StudyResult(study=cfg.study, summaries=tuple(summaries), trials=tuple(all_trials))
 
 
-def _run_trials(cfg: ExperimentConfig, trial_fn) -> list:
-    # serial, in trial order: each trial is GIL-bound numpy work on short
-    # vectors, which a thread pool only slows down
-    return [trial_fn(t) for t in range(cfg.trials_per_eta)]
+def _each_trial(one_trial):
+    """A block solve that solves the trials of its block one at a time."""
+    return lambda block, rngs: list(map(one_trial, block, rngs))
 
 
-def _summarize(eta: float, dlt: float, trials: list, **extras) -> EtaSummary:
+def _trial_result(cfg, eta, trial, dlt, alpha, x, truth, residual, flagged=False,
+                  ratio=None, analysis=None, error=None) -> TrialResult:
+    """One trial's record: its errors against ``truth``, truncation and flag.
+
+    The caps act on the solution ``x``.  A study that measures its errors in
+    other coordinates passes the ``analysis`` matrix into them, and may pass
+    the raw ``error`` it already holds in those coordinates.
+    """
+    x_trunc = truncate_solution(x, cfg.caps.norm, cfg.caps.sup)
+
+    def error_of(v):
+        return float(np.linalg.norm((v if analysis is None else analysis @ v) - truth))
+
+    return TrialResult(
+        eta=eta,
+        trial=trial,
+        delta_eff=dlt,
+        alpha_or_kstar=alpha,
+        error=error_of(x) if error is None else error,
+        error_truncated=error_of(x_trunc),
+        residual=residual,
+        truncated=not np.array_equal(x_trunc, x),
+        flagged=flagged,
+        ratio_delta2_alpha=ratio,
+    )
+
+
+def _summarize(eta: float, dlt: float, trials: list, rate_theory) -> EtaSummary:
     errs = np.array([t.error for t in trials])
     errs_trunc = np.array([t.error_truncated for t in trials])
     residuals = np.array([t.residual for t in trials])
     alphas = np.array([t.alpha_or_kstar for t in trials])
+    ratios = [t.ratio_delta2_alpha for t in trials]
     finite = np.isfinite(alphas)
     alpha_mean = float(np.mean(alphas[finite])) if finite.any() else math.inf
     return EtaSummary(
@@ -172,7 +223,8 @@ def _summarize(eta: float, dlt: float, trials: list, **extras) -> EtaSummary:
         trials=len(trials),
         truncated_count=int(sum(t.truncated for t in trials)),
         flagged_count=int(sum(t.flagged for t in trials)),
-        **extras,
+        ratio_delta2_alpha=None if None in ratios else float(np.mean(ratios)),
+        rate_theory=rate_theory,
     )
 
 
@@ -185,10 +237,8 @@ def _build_operator(spec: dict) -> SvdOperator:
         return SvdOperator.diagonal(n ** (-spec["decay"]))
     if kind == "csv":
         return SvdOperator.from_csv(spec["path"])
-    if kind == "haar-diagonal":
-        levels = haar_level_indices(2 ** spec["levels"])
-        return SvdOperator.diagonal(np.sort(2.0 ** (-spec["decay"] * levels))[::-1])
-    raise ValueError(f"operator kind {kind!r} not usable here")
+    levels = haar_level_indices(2 ** spec["levels"])  # haar-diagonal
+    return SvdOperator.diagonal(np.sort(2.0 ** (-spec["decay"] * levels))[::-1])
 
 
 def _powerlaw_vector(n: int, power: float, norm: float) -> np.ndarray:
@@ -203,10 +253,10 @@ def _build_truth(spec: dict, op: SvdOperator) -> np.ndarray:
         if x.size != op.solution_dim:
             raise ValueError("explicit truth does not match the operator dimension")
         return x
-    if kind == "source-powerlaw":
-        z = _powerlaw_vector(op.solution_dim, spec["power"], spec["norm"])
-        return op.source_element(spec["exponent"], z)
-    raise ValueError(f"truth kind {kind!r} not usable here")
+    if kind == "two-bump":
+        return _two_bump_truth(op.solution_dim, spec["amplitude"])
+    z = _powerlaw_vector(op.solution_dim, spec["power"], spec["norm"])  # source-powerlaw
+    return op.source_element(spec["exponent"], z)
 
 
 def _choose_alpha(cfg: ExperimentConfig, op, y_noisy, dlt):
@@ -215,33 +265,22 @@ def _choose_alpha(cfg: ExperimentConfig, op, y_noisy, dlt):
         return apriori_filter_alpha(dlt, rule), None
     if isinstance(rule, Fixed):
         return rule.alpha, None
-    if isinstance(rule, Discrepancy):
-        result = discrepancy_alpha(op, y_noisy, dlt, rule)
-        return result.alpha, result
-    raise ValueError(f"rule {rule!r} is not supported by this study")
+    result = discrepancy_alpha(op, y_noisy, dlt, rule)
+    return result.alpha, result
 
 
 # -- filter study -------------------------------------------------------------
 
 
-def _run_filter_study(cfg: ExperimentConfig) -> StudyResult:
+def _filter_study(cfg: ExperimentConfig):
     op = _build_operator(cfg.operator)
     x_true = _build_truth(cfg.truth, op)
     y_exact = op.apply(x_true)
-    m = op.data_dim
-    filter_name = cfg.solver.get("filter", "tikhonov")
-    if filter_name not in ("tikhonov", "tsvd"):
-        raise ValueError(f"unknown filter {filter_name!r} for the filter study")
-    make_kind = Tikhonov if filter_name == "tikhonov" else Tsvd
+    make_kind = Tikhonov if cfg.solver["filter"] == "tikhonov" else Tsvd
 
-    summaries, all_trials = [], []
-    for eta_idx, eta in enumerate(cfg.eta_grid):
-        spec = NoiseSpec(eta=eta, m=m)
-        dlt = delta_eff(spec, cfg.noise_mode)
-
-        def one_trial(t, eta=eta, eta_idx=eta_idx, dlt=dlt):
-            rng = trial_rng(cfg.seed, _stream_index(eta_idx, t))
-            y_noisy = y_exact + eta * rng.standard_normal(m)
+    def at_eta(eta, dlt):
+        def one_trial(t, rng):
+            y_noisy = y_exact + eta * rng.standard_normal(op.data_dim)
             flagged = False
             try:
                 alpha, disc = _choose_alpha(cfg, op, y_noisy, dlt)
@@ -254,24 +293,12 @@ def _run_filter_study(cfg: ExperimentConfig) -> StudyResult:
                 x = np.zeros(op.solution_dim)
             else:
                 x = filter_reconstruct(op, y_noisy, make_kind(alpha))
-            x_trunc = truncate_solution(x, cfg.caps.norm, cfg.caps.sup)
-            truncated = not np.array_equal(x_trunc, x)
-            return TrialResult(
-                eta=eta,
-                trial=t,
-                delta_eff=dlt,
-                alpha_or_kstar=alpha,
-                error=float(np.linalg.norm(x - x_true)),
-                error_truncated=float(np.linalg.norm(x_trunc - x_true)),
-                residual=float(np.linalg.norm(op.apply(x) - y_noisy)),
-                truncated=truncated,
-                flagged=flagged,
-            )
+            residual = float(np.linalg.norm(op.apply(x) - y_noisy))
+            return _trial_result(cfg, eta, t, dlt, alpha, x, x_true, residual, flagged)
 
-        trials = _run_trials(cfg, one_trial)
-        summaries.append(_summarize(eta, dlt, trials))
-        all_trials.extend(trials)
-    return StudyResult(study="filter", summaries=tuple(summaries), trials=tuple(all_trials))
+        return _each_trial(one_trial), None
+
+    return op.data_dim, 1, at_eta
 
 
 # -- autoconvolution study ----------------------------------------------------
@@ -408,83 +435,48 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target, knobs, seed):
 _BLOCK_DOUBLES = 4096
 
 
-def _run_autoconv_study(cfg: ExperimentConfig) -> StudyResult:
-    if cfg.operator["kind"] != "autoconv":
-        raise ValueError("the autoconvolution study needs operator {kind: autoconv, size: m}")
-    if not isinstance(cfg.rule, Discrepancy):
-        raise ValueError("the autoconvolution study uses the discrepancy rule")
+def _autoconv_study(cfg: ExperimentConfig):
     m = cfg.operator["size"]
     grid = AutoconvGrid(m)
-    if cfg.truth["kind"] == "two-bump":
-        x_true = _two_bump_truth(m, cfg.truth["amplitude"])
-    else:
-        x_true = _build_truth(cfg.truth, SvdOperator.diagonal(np.ones(m)))
+    x_true = _build_truth(cfg.truth, SvdOperator.diagonal(np.ones(m)))
     y_exact = autoconv_apply(grid, x_true)
     c_true = haar_forward(x_true)
     haar = _haar_matrix(m)
-    knobs = {
-        "tol": cfg.solver.get("tol", 1e-6),
-        "max_iter": int(cfg.solver.get("max_iter", 800)),
-        "max_budget": int(cfg.solver.get("max_budget", 6400)),
-        "total_budget": int(cfg.solver.get("total_budget", 20000)),
-        "max_alpha_steps": int(cfg.solver.get("max_alpha_steps", 40)),
-        "step_safety": cfg.solver.get("step_safety", 0.9),
-    }
-    rule = cfg.rule
-    block_rows = max(1, _BLOCK_DOUBLES // m)
 
-    def block_trials(eta_idx, eta, dlt, block):
-        lo_target, hi_target = rule.tau1 * dlt, rule.tau2 * dlt
-        y_noisy = np.stack([
-            y_exact + eta * trial_rng(cfg.seed, _stream_index(eta_idx, t)).standard_normal(m)
-            for t in block
-        ])
-        # trivial data: the zero solution already satisfies the bound
-        trivial = np.linalg.norm(y_noisy, axis=1) <= lo_target
-        alphas, coeffs, residuals, in_band = _alpha_continuation(
-            grid, haar, y_noisy[~trivial], lo_target, hi_target, knobs, cfg.seed,
-        )
-        xs = coeffs @ haar
-        solved_row = np.cumsum(~trivial) - 1  # each trial's row among the solved ones
-        out = []
-        for row, t in enumerate(block):
-            if trivial[row]:
-                out.append(TrialResult(
-                    eta=eta, trial=t, delta_eff=dlt, alpha_or_kstar=math.inf,
-                    error=float(np.linalg.norm(x_true)),
-                    error_truncated=float(np.linalg.norm(x_true)),
-                    residual=float(np.linalg.norm(y_noisy[row])), truncated=False,
-                    ratio_delta2_alpha=0.0,
+    def at_eta(eta, dlt):
+        lo_target, hi_target = cfg.rule.tau1 * dlt, cfg.rule.tau2 * dlt
+
+        def solve_block(block, rngs):
+            y_noisy = np.stack([y_exact + eta * rng.standard_normal(m) for rng in rngs])
+            # trivial data: the zero solution already satisfies the bound
+            trivial = np.linalg.norm(y_noisy, axis=1) <= lo_target
+            alphas, coeffs, residuals, in_band = _alpha_continuation(
+                grid, haar, y_noisy[~trivial], lo_target, hi_target, cfg.solver, cfg.seed,
+            )
+            xs = coeffs @ haar
+            solved_row = np.cumsum(~trivial) - 1  # each trial's row among the solved ones
+            out = []
+            for row, t in enumerate(block):
+                if trivial[row]:
+                    out.append(_trial_result(
+                        cfg, eta, t, dlt, math.inf, np.zeros(m), x_true,
+                        float(np.linalg.norm(y_noisy[row])), ratio=0.0,
+                    ))
+                    continue
+                i = solved_row[row]
+                alpha = float(alphas[i])
+                # the error is measured in Haar coefficients
+                out.append(_trial_result(
+                    cfg, eta, t, dlt, alpha, xs[i], c_true, float(residuals[i]),
+                    flagged=not in_band[i], ratio=dlt**2 / alpha, analysis=haar,
+                    error=float(np.linalg.norm(coeffs[i] - c_true)),
                 ))
-                continue
-            i = solved_row[row]
-            x_trunc = truncate_solution(xs[i], cfg.caps.norm, cfg.caps.sup)
-            alpha = float(alphas[i])
-            out.append(TrialResult(
-                eta=eta, trial=t, delta_eff=dlt, alpha_or_kstar=alpha,
-                error=float(np.linalg.norm(coeffs[i] - c_true)),
-                error_truncated=float(np.linalg.norm((haar @ x_trunc) - c_true)),
-                residual=float(residuals[i]),
-                truncated=not np.array_equal(x_trunc, xs[i]),
-                flagged=not in_band[i],
-                ratio_delta2_alpha=dlt**2 / alpha,
-            ))
-        return out
+            return out
 
-    summaries, all_trials = [], []
-    for eta_idx, eta in enumerate(cfg.eta_grid):
-        spec = NoiseSpec(eta=eta, m=m)
-        dlt = delta_eff(spec, cfg.noise_mode)
-        trials = []
-        for start in range(0, cfg.trials_per_eta, block_rows):
-            block = range(start, min(start + block_rows, cfg.trials_per_eta))
-            trials.extend(block_trials(eta_idx, eta, dlt, block))
-        ratios = [t.ratio_delta2_alpha for t in trials]
-        summaries.append(
-            _summarize(eta, dlt, trials, ratio_delta2_alpha=float(np.mean(ratios)))
-        )
-        all_trials.extend(trials)
-    return StudyResult(study="autoconv", summaries=tuple(summaries), trials=tuple(all_trials))
+        return solve_block, None
+
+    # read at run time, so that a test can shrink the blocks
+    return m, max(1, _BLOCK_DOUBLES // m), at_eta
 
 
 # -- Besov (weighted-l1/lp) study --------------------------------------------
@@ -502,30 +494,18 @@ def _level_spike_coeffs(levels: int, zeta: float, p: float, weights, norm: float
     return c * (norm / besov)
 
 
-def _run_besov_study(cfg: ExperimentConfig) -> StudyResult:
-    if cfg.operator["kind"] != "haar-diagonal":
-        raise ValueError("the besov study needs operator {kind: haar-diagonal, ...}")
-    if not isinstance(cfg.rule, (KyFanSquared, BesovBalanceRule)):
-        raise ValueError("the besov study uses the kyfan-squared or besov-balance rule")
+def _besov_study(cfg: ExperimentConfig):
     levels = cfg.operator["levels"]
     n = 2**levels
     lev = haar_level_indices(n)
     sigma = 2.0 ** (-cfg.operator["decay"] * lev)
-
-    s_smooth = cfg.solver.get("s", 1.0)
-    p = cfg.solver.get("p", 1.0)
-    d = int(cfg.solver.get("d", 1))
-    bw = besov_weights(s_smooth, p, d, levels)
-    if cfg.truth["kind"] != "level-spikes":
-        raise ValueError("the besov study uses the level-spikes truth")
+    p = cfg.solver["p"]
+    bw = besov_weights(cfg.solver["s"], p, cfg.solver["d"], levels)
     rho = cfg.truth["norm"]
     c_true = _level_spike_coeffs(levels, bw.zeta, p, bw.weights, rho)
     y_exact = sigma * c_true
 
-    summaries, all_trials = [], []
-    for eta_idx, eta in enumerate(cfg.eta_grid):
-        spec = NoiseSpec(eta=eta, m=n)
-        dlt = delta_eff(spec, cfg.noise_mode)
+    def at_eta(eta, dlt):
         balance_failed = False
         if isinstance(cfg.rule, KyFanSquared):
             alpha = cfg.rule.scale * dlt**2 / rho**p
@@ -539,29 +519,19 @@ def _run_besov_study(cfg: ExperimentConfig) -> StudyResult:
             except NoBracket:
                 alpha, balance_failed = math.inf, True
 
-        def one_trial(t, eta=eta, eta_idx=eta_idx, dlt=dlt, alpha=alpha,
-                      balance_failed=balance_failed):
-            rng = trial_rng(cfg.seed, _stream_index(eta_idx, t))
+        def one_trial(t, rng):
             y_noisy = y_exact + eta * rng.standard_normal(n)
             if math.isinf(alpha):
                 c = np.zeros(n)
             else:
                 # diagonal operator: the weighted-lp minimizer separates per coefficient
                 c = prox_weighted_lp(y_noisy / sigma, alpha * bw.weights / (2.0 * sigma**2), p)
-            c_trunc = truncate_solution(c, cfg.caps.norm, cfg.caps.sup)
-            return TrialResult(
-                eta=eta, trial=t, delta_eff=dlt, alpha_or_kstar=alpha,
-                error=float(np.linalg.norm(c - c_true)),
-                error_truncated=float(np.linalg.norm(c_trunc - c_true)),
-                residual=float(np.linalg.norm(sigma * c - y_noisy)),
-                truncated=not np.array_equal(c_trunc, c),
-                flagged=balance_failed,
-            )
+            residual = float(np.linalg.norm(sigma * c - y_noisy))
+            return _trial_result(cfg, eta, t, dlt, alpha, c, c_true, residual, balance_failed)
 
-        trials = _run_trials(cfg, one_trial)
-        summaries.append(_summarize(eta, dlt, trials))
-        all_trials.extend(trials)
-    return StudyResult(study="besov", summaries=tuple(summaries), trials=tuple(all_trials))
+        return _each_trial(one_trial), None
+
+    return n, 1, at_eta
 
 
 # -- random source exponent (Landweber) study ---------------------------------
@@ -593,77 +563,53 @@ def _landweber_stop_index(q2: np.ndarray, y_sq: np.ndarray, threshold: float, km
     return hi
 
 
-def _run_nu_random_study(cfg: ExperimentConfig) -> StudyResult:
+def _nu_random_study(cfg: ExperimentConfig):
     op = _build_operator(cfg.operator)
-    if not op.is_diagonal:
-        raise ValueError("the nu-random study needs a diagonal operator")
-    if cfg.truth["kind"] != "random-source":
-        raise ValueError("the nu-random study uses the random-source truth")
-    if not isinstance(cfg.rule, DiscrepancyStop):
-        raise ValueError("the nu-random study uses the discrepancy-stop rule")
     sigma = op.singular_values
     m = sigma.size
     v = _powerlaw_vector(m, cfg.truth["power"], cfg.truth["norm"])
-    gamma = cfg.solver.get("gamma", 0.9 / float(sigma[0] ** 2))
-    kmax = int(cfg.solver.get("kmax", 10**7))
+    gamma = cfg.solver["gamma"]
+    if gamma is None:
+        gamma = 0.9 / float(sigma[0] ** 2)
+    kmax = cfg.solver["kmax"]
     if gamma * sigma[0] ** 2 > 1.0:
         raise ValueError("gamma violates the Landweber contraction bound")
     q = 1.0 - gamma * sigma**2
     q2 = q * q
-    tau_hat = cfg.rule.tau_hat
 
-    summaries, all_trials = [], []
-    for eta_idx, eta in enumerate(cfg.eta_grid):
-        spec = NoiseSpec(eta=eta, m=m)
-        dlt = delta_eff(spec, cfg.noise_mode)
-
-        def one_trial(t, eta=eta, eta_idx=eta_idx, dlt=dlt):
-            rng = trial_rng(cfg.seed, _stream_index(eta_idx, t))
-            nu = rng.uniform(0.0, 0.5)
+    def at_eta(eta, dlt):
+        def one_trial(t, rng):
+            nu = rng.uniform(0.0, 0.5)  # before the noise: the draw order fixes the data
             x_true = sigma ** (2.0 * nu) * v
             y_noisy = sigma * x_true + eta * rng.standard_normal(m)
-            y_sq = y_noisy * y_noisy
             flagged = False
             try:
-                k_star = _landweber_stop_index(q2, y_sq, tau_hat * dlt, kmax)
+                k_star = _landweber_stop_index(q2, y_noisy * y_noisy, cfg.rule.tau_hat * dlt, kmax)
             except NonConvergence:
                 k_star, flagged = kmax, True
             if k_star == 0:
                 x = np.zeros(m)
             else:
                 x = filter_reconstruct(op, y_noisy, LandweberFilter(k_star, gamma))
-            x_trunc = truncate_solution(x, cfg.caps.norm, cfg.caps.sup)
-            return TrialResult(
-                eta=eta, trial=t, delta_eff=dlt, alpha_or_kstar=float(k_star),
-                error=float(np.linalg.norm(x - x_true)),
-                error_truncated=float(np.linalg.norm(x_trunc - x_true)),
-                residual=float(np.linalg.norm(sigma * x - y_noisy)),
-                truncated=not np.array_equal(x_trunc, x),
-                flagged=flagged,
-            )
+            residual = float(np.linalg.norm(sigma * x - y_noisy))
+            return _trial_result(cfg, eta, t, dlt, float(k_star), x, x_true, residual, flagged)
 
-        trials = _run_trials(cfg, one_trial)
         if 0.0 < dlt < 1.0:
             neg_log = -math.log(dlt)
             rate_theory = lambert_w0(neg_log) / neg_log
         else:
             rate_theory = None
-        summaries.append(_summarize(eta, dlt, trials, rate_theory=rate_theory))
-        all_trials.extend(trials)
-    return StudyResult(study="nu-random", summaries=tuple(summaries), trials=tuple(all_trials))
+        return _each_trial(one_trial), rate_theory
+
+    return m, 1, at_eta
 
 
-_STUDY_RUNNERS = {
-    "filter": _run_filter_study,
-    "autoconv": _run_autoconv_study,
-    "besov": _run_besov_study,
-    "nu-random": _run_nu_random_study,
+_STUDIES = {
+    "filter": _filter_study,
+    "autoconv": _autoconv_study,
+    "besov": _besov_study,
+    "nu-random": _nu_random_study,
 }
-
-
-def run_study(cfg: ExperimentConfig) -> StudyResult:
-    """Run the configured Monte Carlo study; deterministic given the seed."""
-    return _STUDY_RUNNERS[cfg.study](cfg)
 
 
 # -- export -------------------------------------------------------------------
@@ -686,72 +632,95 @@ def _format(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _summary_row(s: EtaSummary) -> list:
-    return [
-        s.eta, s.delta_eff, s.alpha_or_kstar, s.err_mean, s.err_kyfan,
-        s.residual_mean, s.trials, s.truncated_count,
-    ]
+# each column's type, for reading the rows back
+_COLUMN_TYPES = tuple(typing.get_type_hints(EtaSummary)[c] for c in CSV_COLUMNS)
+
+
+def _write_text(path, write) -> None:
+    """Run ``write(handle)`` on an open text stream, or on the file at ``path``.
+
+    A file is written in full to a temporary file beside it and then renamed
+    onto it, so a write that fails partway leaves any earlier file intact.
+    A device or pipe, such as /dev/stdout, is written in place: renaming a
+    file onto it would replace it.
+    """
+    if hasattr(path, "write"):
+        write(path)
+        return
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    tmp = path if in_place else f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            write(handle)
+        if not in_place:
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise OSError(f"cannot write results to {path}: {exc}") from exc
+    finally:
+        if not in_place and os.path.exists(tmp):  # the write failed before the rename
+            os.unlink(tmp)
 
 
 def export(summaries, path, fmt: str = "csv") -> None:
     """Write per-eta summaries; numbers carry 17 significant digits.
 
-    ``csv`` writes exactly the documented columns with a header row;
-    ``structured-text`` writes one aligned key = value block per row.
+    ``path`` is a file path or an open text stream.  ``csv`` writes exactly
+    the documented columns with a header row; ``structured-text`` writes one
+    aligned key = value block per row.
     """
     if fmt not in ("csv", "structured-text"):
         raise ValueError(f"unknown export format {fmt!r}")
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            if fmt == "csv":
-                handle.write(",".join(CSV_COLUMNS) + "\n")
-                for s in summaries:
-                    handle.write(",".join(_format(v) for v in _summary_row(s)) + "\n")
-            else:
-                width = max(len(c) for c in CSV_COLUMNS)
-                for s in summaries:
-                    for name, value in zip(CSV_COLUMNS, _summary_row(s)):
-                        handle.write(f"{name.ljust(width)} = {_format(value)}\n")
-                    handle.write("\n")
-    except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from exc
+
+    def write(handle):
+        if fmt == "csv":
+            handle.write(",".join(CSV_COLUMNS) + "\n")
+            for s in summaries:
+                handle.write(",".join(_format(getattr(s, c)) for c in CSV_COLUMNS) + "\n")
+        else:
+            width = max(len(c) for c in CSV_COLUMNS)
+            for s in summaries:
+                for name in CSV_COLUMNS:
+                    handle.write(f"{name.ljust(width)} = {_format(getattr(s, name))}\n")
+                handle.write("\n")
+
+    _write_text(path, write)
 
 
 def read_summaries(path) -> list:
     """Re-ingest a summary CSV written by :func:`export`."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle if line.strip()]
+            lines = [(n, line.strip()) for n, line in enumerate(handle, 1) if line.strip()]
     except OSError as exc:
         raise OSError(f"cannot read results from {path}: {exc}") from exc
-    if not lines or lines[0].split(",") != list(CSV_COLUMNS):
+    if not lines or lines[0][1].split(",") != list(CSV_COLUMNS):
         raise ValueError(f"{path} does not carry the expected summary header")
     out = []
-    for line in lines[1:]:
+    for n, line in lines[1:]:
         parts = line.split(",")
-        out.append(
-            EtaSummary(
-                eta=float(parts[0]),
-                delta_eff=float(parts[1]),
-                alpha_or_kstar=float(parts[2]),
-                err_mean=float(parts[3]),
-                err_kyfan=float(parts[4]),
-                residual_mean=float(parts[5]),
-                trials=int(parts[6]),
-                truncated_count=int(parts[7]),
+        if len(parts) != len(CSV_COLUMNS):
+            raise ValueError(
+                f"{path}, line {n}: expected {len(CSV_COLUMNS)} fields, got {len(parts)}"
             )
-        )
+        try:
+            values = [kind(part) for kind, part in zip(_COLUMN_TYPES, parts)]
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {n}: {exc}") from exc
+        out.append(EtaSummary(**dict(zip(CSV_COLUMNS, values))))
     return out
 
 
 def export_autoconv_panels(summaries, path) -> None:
-    """Plot-ready data for the two-panel ratio/error figure of the autoconv study."""
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("eta,ratio_delta2_over_alpha,err\n")
-            for s in summaries:
-                handle.write(
-                    f"{_format(s.eta)},{_format(s.ratio_delta2_alpha)},{_format(s.err_kyfan)}\n"
-                )
-    except OSError as exc:
-        raise OSError(f"cannot write results to {path}: {exc}") from exc
+    """Plot-ready data for the two-panel ratio/error figure of the autoconv study.
+
+    ``path`` is a file path or an open text stream.
+    """
+
+    def write(handle):
+        handle.write("eta,ratio_delta2_over_alpha,err\n")
+        for s in summaries:
+            handle.write(
+                f"{_format(s.eta)},{_format(s.ratio_delta2_alpha)},{_format(s.err_kyfan)}\n"
+            )
+
+    _write_text(path, write)

@@ -26,6 +26,22 @@ def small_filter_config():
     }
 
 
+def small_autoconv_config():
+    return {
+        "schema_version": 1,
+        "study": "autoconv",
+        "seed": 3,
+        "eta_grid": [0.01],
+        "trials_per_eta": 30,
+        "noise_level": {"mode": "inflated-expectation",
+                        "tau": {"kind": "constant", "value": 1.3}},
+        "caps": {"norm": 100.0, "sup": 100.0},
+        "operator": {"kind": "autoconv", "size": 32},
+        "truth": {"kind": "two-bump", "amplitude": 0.31},
+        "rule": {"kind": "discrepancy", "tau1": 1.1, "tau2": 1.3},
+    }
+
+
 class TestKyfanCommands:
     def test_bound(self, capsys):
         assert main(["kyfan", "bound", "--eta", "0.1", "--m", "4"]) == EXIT_OK
@@ -72,6 +88,23 @@ class TestRunCommands:
         assert main(["run", "filter-study", "--config", cfg]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.startswith("eta,delta_eff,alpha_or_kstar")
+
+    @pytest.mark.parametrize("raw", [small_filter_config(), small_autoconv_config()])
+    def test_stdout_matches_out_file(self, tmp_path, capsys, raw):
+        cfg = write_config(tmp_path / "c.yaml", raw)
+        command = "filter-study" if raw["study"] == "filter" else raw["study"]
+        out_path = tmp_path / "res.csv"
+        assert main(["run", command, "--config", cfg, "--out", str(out_path)]) == EXIT_OK
+        assert main(["run", command, "--config", cfg]) == EXIT_OK
+        assert capsys.readouterr().out.encode() == out_path.read_bytes()
+
+    def test_string_solver_value_is_config_error(self, tmp_path, capsys):
+        raw = small_autoconv_config()
+        cfg = tmp_path / "a.yaml"
+        # 1e-6 without a dot is a string to PyYAML
+        cfg.write_text(yaml.safe_dump(raw) + "solver: {tol: 1e-6}\n")
+        assert main(["run", "autoconv", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "config.solver.tol" in capsys.readouterr().err
 
     def test_study_mismatch_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", small_filter_config())

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -117,6 +119,47 @@ class TestExport:
         with pytest.raises(OSError) as info:
             export([summary_row()], missing_dir)
         assert "nope" in str(info.value)
+
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        export([summary_row(0.5)], path)
+        before = path.read_bytes()
+        calls = 0
+        format_value = harness._format
+
+        def failing_format(value):
+            nonlocal calls
+            calls += 1
+            if calls > 12:  # partway through the second row
+                raise RuntimeError("formatter failed")
+            return format_value(value)
+
+        monkeypatch.setattr(harness, "_format", failing_format)
+        with pytest.raises(RuntimeError):
+            export([summary_row(0.1), summary_row(0.03)], path)
+        assert calls > 12
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+    def test_pipe_is_written_in_place(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            export([summary_row()], pipe)
+            text = os.read(reader, 1 << 16).decode()
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+        assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+    @pytest.mark.parametrize("row, fields", [("0.1,0.2,0.3", 3), ("0.1," * 8 + "9", 9)])
+    def test_malformed_row_names_path_and_line(self, tmp_path, row, fields):
+        path = tmp_path / "bad.csv"
+        export([summary_row(0.1)], path)
+        path.write_text(path.read_text() + row + "\n")
+        with pytest.raises(ValueError, match=f"bad.csv, line 3: expected 8 fields, got {fields}"):
+            read_summaries(path)
 
     def test_autoconv_panels(self, tmp_path):
         rows = [summary_row(ratio_delta2_alpha=0.7)]
@@ -355,7 +398,121 @@ class TestConfigValidation:
     def test_largest_seed_accepted(self):
         assert filter_config(seed=2**64 - 1).seed == 2**64 - 1
 
+    @pytest.mark.parametrize("study, key, value, match", [
+        # PyYAML reads 1e-6 without a dot as a string
+        ("autoconv", "solver", {"tol": "1e-6"}, "config.solver.tol: expected a number"),
+        ("filter", "operator", {"kind": "autoconv", "size": 32}, "not usable in the filter study"),
+        ("besov", "rule", {"kind": "apriori", "beta": 0.5, "nu": 1.0, "rho": 1.0},
+         "not usable in the besov study"),
+        ("nu-random", "operator", {"kind": "csv", "path": "matrix.csv"},
+         "not usable in the nu-random study"),
+        ("filter", "solver", {"filter": "landweber"}, "config.solver.filter: expected one of"),
+        ("besov", "solver", {"d": 1.5}, "config.solver.d: expected an integer"),
+        ("nu-random", "truth", {"kind": "explicit", "values": [1.0]},
+         "not usable in the nu-random study"),
+    ])
+    def test_study_mismatch_fails_at_parse(self, study, key, value, match):
+        raw = dict(STUDY_CONFIGS[study], **{key: value})
+        with pytest.raises(ConfigError, match=match):
+            parse_config(raw)
+
+    def test_solver_defaults_filled_in(self):
+        assert parse_config(STUDY_CONFIGS["autoconv"]).solver == {
+            "tol": 1e-6, "max_iter": 800, "max_budget": 6400, "total_budget": 20000,
+            "max_alpha_steps": 40, "step_safety": 0.9,
+        }
+        assert parse_config(STUDY_CONFIGS["filter"]).solver == {"filter": "tikhonov"}
+        assert parse_config(STUDY_CONFIGS["besov"]).solver == {"s": 1.0, "p": 1.5, "d": 1}
+        assert parse_config(STUDY_CONFIGS["nu-random"]).solver == {"gamma": None, "kmax": 10**7}
+
     def test_rejects_deflating_tau(self):
         with pytest.raises(ConfigError):
             filter_config(noise_level={"mode": "inflated-expectation",
                                        "tau": {"kind": "constant", "value": 0.9}})
+
+
+# One small config per study; the summaries below were computed by the
+# per-study loops this driver replaced, and are printed at 17 digits.
+STUDY_CONFIGS = {
+    "filter": {
+        "schema_version": 1, "study": "filter", "seed": 42,
+        "eta_grid": [1e-2, 1e-3], "trials_per_eta": 30,
+        "noise_level": {"mode": "kyfan-bound"},
+        "caps": {"norm": 100.0, "sup": 100.0},
+        "operator": {"kind": "diagonal-powerlaw", "size": 200, "decay": 1.0},
+        "truth": {"kind": "source-powerlaw", "exponent": 0.5, "power": -0.5, "norm": 5.25},
+        "rule": {"kind": "discrepancy", "tau1": 1.1, "tau2": 1.5},
+    },
+    "autoconv": {
+        "schema_version": 1, "study": "autoconv", "seed": 5,
+        "eta_grid": [1e-1, 1e-2], "trials_per_eta": 30,
+        "noise_level": {"mode": "inflated-expectation", "tau": {"kind": "log-inflating"}},
+        "caps": {"norm": 100.0, "sup": 100.0},
+        "operator": {"kind": "autoconv", "size": 32},
+        "truth": {"kind": "two-bump", "amplitude": 0.31},
+        "rule": {"kind": "discrepancy", "tau1": 1.1, "tau2": 1.3},
+    },
+    "besov": {
+        "schema_version": 1, "study": "besov", "seed": 5,
+        "eta_grid": [1e-3, 1e-4], "trials_per_eta": 30,
+        "noise_level": {"mode": "kyfan-bound"},
+        "caps": {"norm": 100.0, "sup": 100.0},
+        "operator": {"kind": "haar-diagonal", "levels": 6, "decay": 1.0},
+        "truth": {"kind": "level-spikes", "norm": 1.0},
+        "rule": {"kind": "besov-balance", "constant": 1.0},
+        "solver": {"s": 1.0, "p": 1.5, "d": 1},
+    },
+    "nu-random": {
+        "schema_version": 1, "study": "nu-random", "seed": 9,
+        "eta_grid": [1e-2, 1e-3], "trials_per_eta": 30,
+        "noise_level": {"mode": "kyfan-bound"},
+        "caps": {"norm": 100.0, "sup": 100.0},
+        "operator": {"kind": "diagonal-powerlaw", "size": 50, "decay": 1.0},
+        "truth": {"kind": "random-source", "power": -0.5, "norm": 1.0},
+        "rule": {"kind": "discrepancy-stop", "tau_hat": 2.5},
+    },
+}
+
+# (eta, delta_eff, alpha_or_kstar, err_mean, err_kyfan, residual_mean, trials,
+#  truncated_count, flagged_count, ratio_delta2_alpha, rate_theory) per eta
+PINNED_SUMMARIES = {
+    "filter": [
+        (0.01, 0.20000000000000004, 0.07498942093324558, 0.42763616039050817,
+         0.43090290910476453, 0.23432380333440614, 30, 0, 0, None, None),
+        (0.001, 0.020000000000000004, 0.005623413251903491, 0.12292904661259504,
+         0.13097719248422238, 0.02381940065819717, 30, 0, 0, None, None),
+    ],
+    "autoconv": [
+        (0.1, 0.5656854249492381, 0.36474820392782625, 1.807575750634468,
+         0.8062779446946599, 0.6938491849026877, 30, 0, 7, 1.9571078669190882, None),
+        (0.01, 0.05656854249492381, 0.023587700541833293, 0.42018728484932644,
+         0.3657303146707949, 0.0812375787818685, 30, 0, 1, 0.27994462428423134, None),
+    ],
+    "besov": [
+        (0.001, 0.011313708498984762, 9.335215843294253e-08, 0.15812697214861207,
+         0.1763330782445417, 0.004096321120359548, 30, 0, 0, None, None),
+        (0.0001, 0.001131370849898476, 1.6397566499069325e-11, 0.038884135802787184,
+         0.04698597961911627, 4.64890982172936e-07, 30, 0, 0, None, None),
+    ],
+    "nu-random": [
+        (0.01, 0.10000000000000002, 1.0, 0.38698782908366053,
+         0.3882581077075918, 0.14014551540524944, 30, 0, 0, None, 0.3990129782602521),
+        (0.001, 0.010000000000000002, 25.133333333333333, 0.20780085363373146,
+         0.24660291568225676, 0.024537754640476455, 30, 0, 0, None, 0.27798742480956057),
+    ],
+}
+
+
+@pytest.mark.parametrize("study", sorted(PINNED_SUMMARIES))
+def test_pinned_summaries(study):
+    res = run_study(parse_config(STUDY_CONFIGS[study]))
+    assert res.study == study
+    assert len(res.summaries) == len(PINNED_SUMMARIES[study])
+    for s, pinned in zip(res.summaries, PINNED_SUMMARIES[study]):
+        got = (s.eta, s.delta_eff, s.alpha_or_kstar, s.err_mean, s.err_kyfan, s.residual_mean,
+               s.trials, s.truncated_count, s.flagged_count, s.ratio_delta2_alpha, s.rate_theory)
+        for value, want in zip(got, pinned):
+            if isinstance(want, float):
+                assert value == pytest.approx(want, rel=1e-12)
+            else:  # counts and absent fields compare exactly
+                assert value == want
