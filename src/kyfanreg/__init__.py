@@ -49,6 +49,7 @@ from .operators import (
     autoconv_apply,
     autoconv_derivative_adjoint_apply,
     autoconv_derivative_apply,
+    autoconv_spectrum,
     besov_weights,
     haar_forward,
     haar_inverse,

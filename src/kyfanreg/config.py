@@ -48,6 +48,7 @@ equation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import yaml
@@ -277,6 +278,31 @@ def _parse_rule(spec: dict, where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _largest_singular_value(operator: dict) -> float:
+    # sigma_1 of a diagonal operator spec, as the study builds the operator
+    if operator["kind"] == "diagonal":
+        values = operator["singular_values"]
+        return max((_coerce(v, float, "config.operator.singular_values[*]") for v in values),
+                   default=0.0)
+    if operator["kind"] == "haar-diagonal":
+        # 2^(-decay * level) over the levels 0..L: level 0 leads unless decay < 0
+        exponent = max(0.0, -operator["decay"] * operator["levels"])
+        return math.inf if exponent >= 1024.0 else 2.0**exponent
+    return 1.0  # diagonal-powerlaw: k^(-decay) at k = 1 leads a non-increasing sequence
+
+
+def _check_landweber_step(gamma: float, operator: dict) -> None:
+    # Landweber steps contract only for 0 < gamma * sigma_1^2 <= 1
+    if not gamma > 0.0:
+        raise ConfigError(f"config.solver.gamma: must be positive, got {gamma!r}")
+    sigma_1 = _largest_singular_value(operator)
+    if gamma * sigma_1**2 > 1.0:
+        raise ConfigError(
+            f"config.solver.gamma: {gamma!r} violates the Landweber contraction bound "
+            f"gamma * sigma_1^2 <= 1 (sigma_1 = {sigma_1!r})"
+        )
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a config mapping and build the parsed experiment definition."""
     top = _take(
@@ -330,6 +356,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if caps_got["norm"] <= 0.0 or caps_got["sup"] <= 0.0:
         raise ConfigError("config.caps: norm and sup caps must be positive")
 
+    operator = _parse_kinded(top["operator"], _OPERATOR_SCHEMAS, "config.operator")
+    solver = _take(top["solver"], "config.solver", {}, study["solver"])
+    if solver.get("gamma") is not None:
+        _check_landweber_step(solver["gamma"], operator)
+
     return ExperimentConfig(
         study=top["study"],
         seed=top["seed"],
@@ -337,10 +368,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         trials_per_eta=top["trials_per_eta"],
         noise_mode=_parse_noise_level(top["noise_level"], "config.noise_level"),
         caps=Caps(norm=caps_got["norm"], sup=caps_got["sup"]),
-        operator=_parse_kinded(top["operator"], _OPERATOR_SCHEMAS, "config.operator"),
+        operator=operator,
         truth=_parse_kinded(top["truth"], _TRUTH_SCHEMAS, "config.truth"),
         rule=_parse_rule(top["rule"], "config.rule"),
-        solver=_take(top["solver"], "config.solver", {}, study["solver"]),
+        solver=solver,
         workers=top["workers"],
     )
 

@@ -27,6 +27,7 @@ __all__ = [
     "AutoconvGrid",
     "BesovWeights",
     "autoconv_apply",
+    "autoconv_spectrum",
     "autoconv_derivative_apply",
     "autoconv_derivative_adjoint_apply",
     "haar_forward",
@@ -213,15 +214,39 @@ def _first_m(grid: AutoconvGrid, spectrum: np.ndarray, scale: float) -> np.ndarr
     return out
 
 
-def autoconv_apply(grid: AutoconvGrid, x) -> np.ndarray:
+def autoconv_spectrum(grid: AutoconvGrid, x) -> np.ndarray:
+    """The kernels' transform of ``x``, row by row.
+
+    A caller that applies both ``autoconv_apply`` and
+    ``autoconv_derivative_adjoint_apply`` at the same ``x`` can pass this as
+    their ``spectrum`` argument, so that ``x`` is transformed once for both.
+    """
+    (x,) = _kernel_args(grid, input=x)
+    return np.fft.rfft(x, _fft_length(grid.m))
+
+
+def _spectrum_of(grid: AutoconvGrid, x: np.ndarray, spectrum) -> np.ndarray:
+    # a fresh transform of x, or the caller's, which the kernels never modify
+    n = _fft_length(grid.m)
+    if spectrum is None:
+        return np.fft.rfft(x, n)
+    if np.shape(spectrum) != x.shape[:-1] + (n // 2 + 1,):
+        raise ValueError(
+            f"spectrum: expected shape {x.shape[:-1] + (n // 2 + 1,)} for an input of "
+            f"shape {x.shape}, got {np.shape(spectrum)}"
+        )
+    return spectrum
+
+
+def autoconv_apply(grid: AutoconvGrid, x, spectrum=None) -> np.ndarray:
     """[F(x)]_k = h * sum_{j<=k} x_j x_{k-j}, the discrete autoconvolution.
 
     ``x`` is one vector (m,) or a block (B, m) of B vectors, one per row.
+    ``spectrum``, if given, is ``autoconv_spectrum(grid, x)``.
     """
     (x,) = _kernel_args(grid, input=x)
-    spectrum = np.fft.rfft(x, _fft_length(grid.m))
-    spectrum *= spectrum
-    return _first_m(grid, spectrum, grid.h)
+    spectrum = _spectrum_of(grid, x, spectrum)
+    return _first_m(grid, spectrum * spectrum, grid.h)
 
 
 def autoconv_derivative_apply(grid: AutoconvGrid, x, v) -> np.ndarray:
@@ -233,14 +258,15 @@ def autoconv_derivative_apply(grid: AutoconvGrid, x, v) -> np.ndarray:
     return _first_m(grid, spectrum, 2.0 * grid.h)
 
 
-def autoconv_derivative_adjoint_apply(grid: AutoconvGrid, x, r) -> np.ndarray:
-    """F'(x)* r, the transpose of the truncated-convolution matrix, row by row."""
+def autoconv_derivative_adjoint_apply(grid: AutoconvGrid, x, r, spectrum=None) -> np.ndarray:
+    """F'(x)* r, the transpose of the truncated-convolution matrix, row by row.
+
+    ``spectrum``, if given, is ``autoconv_spectrum(grid, x)``.
+    """
     x, r = _kernel_args(grid, linearization_point=x, residual=r)
-    n = _fft_length(grid.m)
     # (F'(x)* r)_j = 2h * sum_{k>=j} x_{k-j} r_k: correlation at nonnegative lags
-    spectrum = np.fft.rfft(x, n)
-    np.conjugate(spectrum, out=spectrum)
-    spectrum *= np.fft.rfft(r, n)
+    spectrum = np.conjugate(_spectrum_of(grid, x, spectrum))
+    spectrum *= np.fft.rfft(r, _fft_length(grid.m))
     return _first_m(grid, spectrum, 2.0 * grid.h)
 
 

@@ -1,6 +1,6 @@
 """Solvers: spectral filter reconstructions, nonlinear Landweber iteration,
-and proximal-gradient minimization of Tikhonov-type functionals with
-weighted lp penalties.
+and accelerated proximal-gradient (FISTA) minimization of Tikhonov-type
+functionals with weighted lp penalties.
 
 Conventions
 -----------
@@ -289,28 +289,44 @@ def prox_gradient_solve(
     record_objective: bool = False,
     residual_floor=None,
 ) -> SolveReport:
-    """Proximal gradient descent on ||F(x) - y||^2 + alpha * sum w_i |x_i|^p.
+    """Accelerated proximal gradient on ||F(x) - y||^2 + alpha * sum w_i |x_i|^p.
 
-    One iteration is x <- prox(x - step * F'(x)*(F(x) - y)) with per-entry
-    proximal threshold step * alpha * w_i / 2.  ``step`` must not exceed
-    1/L where L bounds ||F'(x)||^2 near the iterates.  Convergence is
-    declared when the iterate displacement drops to ``tol``; otherwise
-    :class:`NonConvergence` carries the final state.  ``residual_floor``
-    enables discrepancy-style early stopping: the iteration also ends once
-    ||F(x) - y|| falls to that level (there is no point fitting the data
-    more accurately than the noise).
+    Monotone FISTA (Beck and Teboulle 2009) with gradient-based adaptive
+    restart (O'Donoghue and Candes 2015).  One iteration takes a proximal
+    gradient step from the extrapolated point z,
+    x+ = prox(z - step * F'(z)*(F(z) - y)) with per-entry proximal threshold
+    step * alpha * w_i / 2, and then extrapolates
+    z <- x+ + (t - 1) / t+ * (x+ - x) with t+ = (1 + sqrt(1 + 4 t^2)) / 2,
+    starting from z = x0 and t = 1.  When the step opposes the momentum,
+    (z - x+) . (x+ - x) > 0, the momentum restarts: t = 1 and z = x+.  A
+    step from momentum (t > 1) that would raise the objective is rejected:
+    x stays, t = 1 and z = x, so the next step is a plain one.  The
+    objective therefore never rises wherever plain proximal gradient steps
+    do not raise it, as for a linear F with ``step`` <= 1/L.  ``step`` must
+    not exceed 1/L where L bounds ||F'(x)||^2 near the iterates.
+    Convergence is declared when the step from the extrapolated point,
+    ||x+ - z||, drops to ``tol`` (z is then a fixed point of the proximal
+    gradient map to that accuracy); otherwise :class:`NonConvergence`
+    carries the final state.  The forward map runs twice per iteration, at
+    z for the gradient and at x+ for the objective, so the residual at x is
+    known every iteration.  ``residual_floor`` enables discrepancy-style
+    early stopping: the iteration also ends once ||F(x) - y|| falls to that
+    level.  Under momentum the residual need not fall monotonically even
+    where the objective does, so the floor can fire on a transient dip.
 
     Batches: with ``x0`` and ``y`` of shape (B, m), each row is its own
-    problem.  ``alpha``, ``step``, ``max_iter`` and ``residual_floor`` are
-    then scalars or one value per row, and ``forward(x)`` and
-    ``derivative_adjoint(x, r)`` must act row by row on any (k, m) block of
-    the rows: a row leaves the block as soon as it stops.  The report's
-    ``solution`` is (B, m), ``final_residual`` is a (B,) array and
-    ``iterations`` is the total over rows; ``row_iterations`` and
+    problem, with its own momentum and restarts.  ``alpha``, ``step``,
+    ``max_iter`` and ``residual_floor`` are then scalars or one value per
+    row, and ``forward(x)`` and ``derivative_adjoint(x, r)`` must act row by
+    row on any (k, m) block of the rows: a row leaves the block as soon as
+    it stops.  ``derivative_adjoint`` is always called at the block that was
+    last passed to ``forward``, so a caller may reuse work between the two.
+    The report's ``solution`` is (B, m), ``final_residual`` is a (B,) array
+    and ``iterations`` is the total over rows; ``row_iterations`` and
     ``converged`` hold each row's count and outcome.  NonConvergence is
     raised when any row exhausts its budget.  A 1-d problem is the B = 1
     case, with vector callbacks, a float residual and ``record_objective``
-    (which batches do not support).
+    (the objective at x after every iteration; batches do not support it).
     """
     x = np.asarray(x0, dtype=float)
     if x.ndim not in (1, 2):
@@ -342,19 +358,21 @@ def prox_gradient_solve(
     forward = _as_block(forward, batched)
     derivative_adjoint = _as_block(derivative_adjoint, batched)
 
-    def objective(xv, residual):
-        return float(residual @ residual + alpha[0] * np.sum(w * np.abs(xv) ** p))
+    def objective(xv, r):
+        # each row's residual norm and objective
+        res_sq = np.einsum("ij,ij->i", r, r)
+        penalty = np.abs(xv) if p == 1.0 else np.abs(xv) ** p
+        return np.sqrt(res_sq), res_sq + alpha * np.sum(w * penalty, axis=1)
 
     solution = np.empty_like(x)
     final = np.empty(rows)
     row_iterations = np.zeros(rows, dtype=int)
     converged = np.zeros(rows, dtype=bool)
     active = np.arange(rows)
-    trace = []
-    r = forward(x) - y
-    res_norm = _row_norms(r)
-    if record_objective:
-        trace.append(objective(x[0], r[0]))
+    res_norm, value = objective(x, forward(x) - y)
+    trace = [float(value[0])] if record_objective else []
+    z = x
+    t = np.ones(rows)
     stop = np.zeros(rows, dtype=bool)
     k = 0
     while True:
@@ -366,21 +384,35 @@ def prox_gradient_solve(
             row_iterations[idx] = k
             converged[idx] = stop[done]
             keep = ~done
-            active, x, r, y = active[keep], x[keep], r[keep], y[keep]
+            active, x, z, t, y = active[keep], x[keep], z[keep], t[keep], y[keep]
+            res_norm, value, alpha = res_norm[keep], value[keep], alpha[keep]
             step, thresh, floor, budget = step[keep], thresh[keep], floor[keep], budget[keep]
             if not active.size:
                 break
         k += 1
-        v = np.multiply(step[:, np.newaxis], derivative_adjoint(x, r))
-        np.subtract(x, v, out=v)
+        v = np.multiply(step[:, np.newaxis], derivative_adjoint(z, forward(z) - y))
+        np.subtract(z, v, out=v)
         x_next = _prox_lp(v, thresh, p)
-        shift = _row_norms(x_next - x)
-        x = x_next
-        r = forward(x) - y
+        next_norm, next_value = objective(x_next, forward(x_next) - y)
+        from_z = x_next - z
+        move = x_next - x
+        stop = _row_norms(from_z) <= tol
+        # a step from momentum that would raise the objective is rejected:
+        # the row keeps x and restarts, so its next step is a plain one from x
+        taken = (next_value <= value) | (t == 1.0)
+        # restart also where the step opposes the momentum: (z - x+) . (x+ - x) > 0
+        restart = ~taken | (np.einsum("ij,ij->i", from_z, move) < 0.0)
+        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        momentum = np.where(restart, 0.0, (t - 1.0) / t_next)
+        t = np.where(restart, 1.0, t_next)
+        x = np.where(taken[:, np.newaxis], x_next, x)
+        res_norm = np.where(taken, next_norm, res_norm)
+        value = np.where(taken, next_value, value)
         if record_objective:
-            trace.append(objective(x[0], r[0]))
-        res_norm = _row_norms(r)
-        stop = (shift <= tol) | (res_norm <= floor)
+            trace.append(float(value[0]))
+        move *= momentum[:, np.newaxis]
+        z = np.add(x, move, out=move)
+        stop |= res_norm <= floor
 
     report = SolveReport(
         solution=solution if batched else solution[0],
@@ -393,7 +425,7 @@ def prox_gradient_solve(
     if not converged.all():
         failed = ~converged
         raise NonConvergence(
-            f"proximal gradient did not reach displacement {tol:.3g} in "
+            f"proximal gradient did not reach step {tol:.3g} in "
             f"{int(row_iterations[failed].max())} iterations ({int(failed.sum())} of {rows} row(s))",
             report,
         )

@@ -141,6 +141,25 @@ class TestRunCommands:
         cfg = write_config(tmp_path / "nu2.yaml", raw)
         assert main(["run", "nu-random", "--config", cfg]) == EXIT_OK
 
+    def test_landweber_step_is_config_error(self, tmp_path, capsys):
+        raw = {
+            "schema_version": 1,
+            "study": "nu-random",
+            "seed": 3,
+            "eta_grid": [1e-3],
+            "trials_per_eta": 30,
+            "noise_level": {"mode": "kyfan-bound"},
+            "caps": {"norm": 100.0, "sup": 100.0},
+            "operator": {"kind": "diagonal-powerlaw", "size": 30, "decay": 1.0},
+            "truth": {"kind": "random-source", "power": -0.5, "norm": 1.0},
+            "rule": {"kind": "discrepancy-stop", "tau_hat": 2.5},
+            "solver": {"gamma": 2.0},  # gamma * sigma_1^2 = 2: not a contraction
+        }
+        cfg = write_config(tmp_path / "nu.yaml", raw)
+        assert main(["run", "nu-random", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config.solver.gamma" in captured.err and captured.out == ""
+
     def test_autoconv_csv_shape(self, tmp_path, capsys):
         raw = {
             "schema_version": 1,

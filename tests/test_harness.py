@@ -416,6 +416,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=match):
             parse_config(raw)
 
+    @pytest.mark.parametrize("operator, gamma, largest_ok", [
+        ({"kind": "diagonal-powerlaw", "size": 50, "decay": 1.0}, 2.0, 1.0),
+        ({"kind": "diagonal", "singular_values": [2.0, 1.0]}, 0.3, 0.25),
+        ({"kind": "haar-diagonal", "levels": 3, "decay": 1.0}, 1.5, 1.0),
+        # a negative decay puts the largest value on the finest level, 2^3
+        ({"kind": "haar-diagonal", "levels": 3, "decay": -1.0}, 0.02, 1.0 / 64.0),
+        ({"kind": "diagonal-powerlaw", "size": 50, "decay": 1.0}, 0.0, 1.0),
+    ])
+    def test_landweber_step_checked_at_parse(self, operator, gamma, largest_ok):
+        raw = dict(STUDY_CONFIGS["nu-random"], operator=operator)
+        with pytest.raises(ConfigError, match="config.solver.gamma"):
+            parse_config(dict(raw, solver={"gamma": gamma}))
+        # gamma * sigma_1^2 = 1 is still a contraction
+        assert parse_config(dict(raw, solver={"gamma": largest_ok})).solver["gamma"] == largest_ok
+
     def test_solver_defaults_filled_in(self):
         assert parse_config(STUDY_CONFIGS["autoconv"]).solver == {
             "tol": 1e-6, "max_iter": 800, "max_budget": 6400, "total_budget": 20000,
@@ -483,10 +498,10 @@ PINNED_SUMMARIES = {
          0.13097719248422238, 0.02381940065819717, 30, 0, 0, None, None),
     ],
     "autoconv": [
-        (0.1, 0.5656854249492381, 0.36474820392782625, 1.807575750634468,
-         0.8062779446946599, 0.6938491849026877, 30, 0, 7, 1.9571078669190882, None),
-        (0.01, 0.05656854249492381, 0.023587700541833293, 0.42018728484932644,
-         0.3657303146707949, 0.0812375787818685, 30, 0, 1, 0.27994462428423134, None),
+        (0.1, 0.5656854249492381, 0.18166764880760536, 1.7530079013864006,
+         0.8, 0.6871686757043242, 30, 0, 6, 2.4233106388152934, None),
+        (0.01, 0.05656854249492381, 0.023328161839512754, 0.36230409209006104,
+         0.36573032660997884, 0.06794476544209921, 30, 0, 0, 0.2804104400362551, None),
     ],
     "besov": [
         (0.001, 0.011313708498984762, 9.335215843294253e-08, 0.15812697214861207,

@@ -10,6 +10,7 @@ from kyfanreg.operators import (
     autoconv_apply,
     autoconv_derivative_adjoint_apply,
     autoconv_derivative_apply,
+    autoconv_spectrum,
     besov_weights,
     haar_forward,
     haar_inverse,
@@ -243,6 +244,33 @@ class TestAutoconvKernelsProperties:
             - autoconv_apply(grid, v)
         )
         assert np.max(np.abs(taylor)) <= 1e-12 * size**2
+
+    @given(_kernel_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_shared_spectrum_is_bit_identical(self, xvr):
+        x, _, r = xvr
+        grid = AutoconvGrid(x.shape[-1])
+        spectrum = autoconv_spectrum(grid, x)
+        kept = spectrum.copy()
+        assert np.array_equal(
+            autoconv_apply(grid, x, spectrum=spectrum), autoconv_apply(grid, x)
+        )
+        assert np.array_equal(
+            autoconv_derivative_adjoint_apply(grid, x, r, spectrum=spectrum),
+            autoconv_derivative_adjoint_apply(grid, x, r),
+        )
+        # both kernels leave the shared spectrum as they found it
+        assert np.array_equal(spectrum, kept)
+
+    def test_rejects_a_spectrum_of_the_wrong_shape(self):
+        grid = AutoconvGrid(8)
+        x = np.ones((2, 8))
+        with pytest.raises(ValueError, match="spectrum"):
+            autoconv_apply(grid, x, spectrum=autoconv_spectrum(grid, x[0]))
+        with pytest.raises(ValueError, match="spectrum"):
+            autoconv_derivative_adjoint_apply(
+                grid, x, x, spectrum=autoconv_spectrum(AutoconvGrid(16), np.ones((2, 16)))
+            )
 
     def test_rows_are_independent(self):
         grid = AutoconvGrid(16)

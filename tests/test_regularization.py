@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -357,6 +359,118 @@ class TestBatchedSolves:
                 lambda x: x, lambda x, r: r, np.ones((2, 3)), alpha=[0.1, 0.2, 0.3],
                 weights=None, p=1.0, step=1.0, x0=np.zeros((2, 3)),
             )
+
+
+def _reference_solve(sigma, y, alpha, weights, p, step, tol, max_iter, accelerate):
+    """One diagonal problem by proximal gradient, written out for one vector.
+
+    With ``accelerate`` this is the monotone FISTA with restart that
+    ``prox_gradient_solve`` documents; without, it is plain proximal
+    gradient.  Returns the solution and the iteration count.  Sums are
+    taken as the solver takes them, so that a comparison decided at
+    roundoff goes the same way in both.
+    """
+    def objective(v):
+        r = sigma * v - y
+        return np.einsum("i,i->", r, r) + alpha * np.sum(weights * np.abs(v) ** p)
+
+    x = z = np.zeros_like(y)
+    value = objective(x)
+    t = 1.0
+    thresh = step * alpha * weights / 2.0
+    for k in range(1, max_iter + 1):
+        x_next = prox_weighted_lp(z - step * (sigma * (sigma * z - y)), thresh, p)
+        stop = np.linalg.norm(x_next - z) <= tol
+        next_value = objective(x_next)
+        t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        if not accelerate:
+            x = z = x_next
+        elif next_value > value and t > 1.0:
+            # not taken: keep x, and take a plain step from it next
+            t, z = 1.0, x
+        elif np.einsum("i,i->", z - x_next, x_next - x) > 0.0:
+            t, x, z, value = 1.0, x_next, x_next, next_value
+        else:
+            t, z = t_next, x_next + (t - 1.0) / t_next * (x_next - x)
+            x, value = x_next, next_value
+        if stop:
+            return x, k
+    raise AssertionError(f"the reference solve needs more than {max_iter} iterations")
+
+
+@st.composite
+def _diagonal_problems(draw, powers=(1.0, 1.5)):
+    """A diagonal problem as a vector, or a (B, n) block of them with per-row alpha.
+
+    sigma spans [0.2, 1], so plain proximal gradient contracts only by about
+    1 - 0.04 step per iteration on the smallest singular value.
+    """
+    rows = draw(st.one_of(st.none(), st.integers(min_value=1, max_value=3)))
+    n = draw(st.integers(min_value=2, max_value=10))
+    p = draw(st.sampled_from(powers))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    sigma = np.sort(np.concatenate([[1.0, 0.2], gen.uniform(0.2, 1.0, n - 2)]))[::-1]
+    y = gen.standard_normal((n,) if rows is None else (rows, n))
+    alpha = 10.0 ** gen.uniform(-4.0, -2.0, None if rows is None else rows)
+    weights = gen.uniform(0.5, 2.0, n)
+    step = gen.uniform(0.5, 1.0)
+    return sigma, y, alpha, weights, p, step
+
+
+def _solve_rows(problem, tol):
+    # the solver's per-row iterations and solutions, and each row's data and alpha
+    sigma, y, alpha, weights, p, step = problem
+    report = prox_gradient_solve(
+        lambda x: sigma * x, lambda x, r: sigma * r, y, alpha=alpha, weights=weights,
+        p=p, step=step, x0=np.zeros_like(y), tol=tol, max_iter=20_000,
+    )
+    rows_y = np.atleast_2d(y)
+    rows = zip(report.row_iterations, np.atleast_2d(report.solution), rows_y,
+               np.broadcast_to(alpha, rows_y.shape[:1]))
+    return list(rows)
+
+
+class TestAcceleratedProxGradient:
+    """The accelerated solve against the closed form and against plain iteration."""
+
+    @given(_diagonal_problems())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_closed_form_in_fewer_iterations(self, problem):
+        sigma, _, _, weights, p, step = problem
+        tol = 1e-12
+        for iterations, solution, yi, ai in _solve_rows(problem, tol):
+            # the diagonal functional separates: one prox per coefficient
+            exact = prox_weighted_lp(yi / sigma, ai * weights / (2.0 * sigma**2), p)
+            assert np.max(np.abs(solution - exact)) <= 1e-8
+            _, plain = _reference_solve(sigma, yi, ai, weights, p, step, tol, 20_000, False)
+            assert iterations < plain
+
+    @given(_diagonal_problems(powers=(1.0,)))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_follow_the_one_vector_reference(self, problem):
+        # p = 1 only: its prox is exact per entry, so a block row and the
+        # reference do the same arithmetic.  A block's p = 1.5 prox runs
+        # Newton until every row meets its tolerance, and a roundoff-level
+        # difference can turn an objective comparison near convergence
+        sigma, _, _, weights, p, step = problem
+        tol = 1e-9
+        for iterations, solution, yi, ai in _solve_rows(problem, tol):
+            x, k = _reference_solve(sigma, yi, ai, weights, p, step, tol, 20_000, True)
+            assert iterations == k
+            assert np.max(np.abs(solution - x)) <= 1e-12 * max(np.max(np.abs(x)), 1.0)
+
+    @given(_diagonal_problems(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_objective_never_rises(self, problem, seed):
+        sigma, y, alpha, weights, p, step = problem
+        yi, ai = np.atleast_2d(y)[0], np.atleast_1d(alpha)[0]
+        report = prox_gradient_solve(
+            lambda x: sigma * x, lambda x, r: sigma * r, yi, alpha=ai, weights=weights,
+            p=p, step=step, x0=np.random.default_rng(seed).standard_normal(yi.shape),
+            tol=1e-12, max_iter=20_000, record_objective=True,
+        )
+        trace = np.asarray(report.objective_trace)
+        assert np.all(np.diff(trace) <= 1e-12 * trace[0])
 
 
 class TestLandweberNonlinear:
