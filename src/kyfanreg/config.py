@@ -12,8 +12,6 @@ study          : filter | autoconv | besov | nu-random
 seed           : master seed, an integer in [0, 2**64)
 eta_grid       : strictly decreasing list of positive reals
 trials_per_eta : integer >= 30 (the Ky Fan estimator resolves 1/trials)
-workers        : optional positive integer (default 1); validated, but
-                 ignored: the value changes neither outputs nor scheduling
 noise_level    : {mode: kyfan-bound} or
                  {mode: inflated-expectation, tau: {kind: constant, value: c}
                                               or  {kind: log-inflating}}
@@ -116,7 +114,6 @@ class ExperimentConfig:
     truth: dict
     rule: object
     solver: dict = field(default_factory=dict)
-    workers: int = 1
 
 
 def _mapping(value, where: str) -> dict:
@@ -320,7 +317,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             "truth": dict,
             "rule": dict,
         },
-        {"solver": (dict, {}), "workers": (int, 1)},
+        {"solver": (dict, {})},
     )
     if top["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(
@@ -349,8 +346,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
             "config.trials_per_eta: need at least 30 trials per eta "
             "(the Ky Fan estimator resolves 1/trials)"
         )
-    if top["workers"] < 1:
-        raise ConfigError("config.workers: must be a positive integer")
 
     caps_got = _take(top["caps"], "config.caps", {"norm": float, "sup": float})
     if caps_got["norm"] <= 0.0 or caps_got["sup"] <= 0.0:
@@ -372,7 +367,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         truth=_parse_kinded(top["truth"], _TRUTH_SCHEMAS, "config.truth"),
         rule=_parse_rule(top["rule"], "config.rule"),
         solver=solver,
-        workers=top["workers"],
     )
 
 

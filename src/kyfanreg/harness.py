@@ -13,11 +13,10 @@ setup, its once-per-eta work and a block solve.  ``_trial_result`` records
 every trial.  The parsed config is known to suit the study.
 
 Determinism: every trial draws from a generator keyed by
-(seed, eta_index << 32 | trial), and trials run serially in trial order,
-so the config's ``workers`` value changes neither the outputs nor the
-scheduling; summaries are reduced in trial order.  The autoconvolution
-study solves the trials of an eta together, in blocks fixed by the grid
-size and the trial order, so its outputs repeat exactly as well.
+(seed, eta_index << 32 | trial), trials run serially in trial order, and
+summaries are reduced in trial order.  The autoconvolution study solves the
+trials of an eta together, in blocks fixed by the grid size and the trial
+order, so its outputs repeat exactly as well.
 """
 
 from __future__ import annotations
@@ -68,8 +67,8 @@ from .rules import (
     apriori_filter_alpha,
     besov_balance_alpha,
     discrepancy_alpha,
+    nu_effective,
 )
-from .special import lambert_w0
 
 __all__ = [
     "TrialResult",
@@ -180,25 +179,16 @@ def _each_trial(one_trial):
 
 
 def _trial_result(cfg, eta, trial, dlt, alpha, x, truth, residual, flagged=False,
-                  ratio=None, analysis=None, error=None) -> TrialResult:
-    """One trial's record: its errors against ``truth``, truncation and flag.
-
-    The caps act on the solution ``x``.  A study that measures its errors in
-    other coordinates passes the ``analysis`` matrix into them, and may pass
-    the raw ``error`` it already holds in those coordinates.
-    """
+                  ratio=None) -> TrialResult:
+    """One trial's record: its errors against ``truth``, truncation and flag."""
     x_trunc = truncate_solution(x, cfg.caps.norm, cfg.caps.sup)
-
-    def error_of(v):
-        return float(np.linalg.norm((v if analysis is None else analysis @ v) - truth))
-
     return TrialResult(
         eta=eta,
         trial=trial,
         delta_eff=dlt,
         alpha_or_kstar=alpha,
-        error=error_of(x) if error is None else error,
-        error_truncated=error_of(x_trunc),
+        error=float(np.linalg.norm(x - truth)),
+        error_truncated=float(np.linalg.norm(x_trunc - truth)),
         residual=residual,
         truncated=not np.array_equal(x_trunc, x),
         flagged=flagged,
@@ -447,7 +437,6 @@ def _autoconv_study(cfg: ExperimentConfig):
     grid = AutoconvGrid(m)
     x_true = _build_truth(cfg.truth, SvdOperator.diagonal(np.ones(m)))
     y_exact = autoconv_apply(grid, x_true)
-    c_true = haar_forward(x_true)
     haar = _haar_matrix(m)
 
     def at_eta(eta, dlt):
@@ -472,11 +461,9 @@ def _autoconv_study(cfg: ExperimentConfig):
                     continue
                 i = solved_row[row]
                 alpha = float(alphas[i])
-                # the error is measured in Haar coefficients
                 out.append(_trial_result(
-                    cfg, eta, t, dlt, alpha, xs[i], c_true, float(residuals[i]),
-                    flagged=not in_band[i], ratio=dlt**2 / alpha, analysis=haar,
-                    error=float(np.linalg.norm(coeffs[i] - c_true)),
+                    cfg, eta, t, dlt, alpha, xs[i], x_true, float(residuals[i]),
+                    flagged=not in_band[i], ratio=dlt**2 / alpha,
                 ))
             return out
 
@@ -599,11 +586,8 @@ def _nu_random_study(cfg: ExperimentConfig):
             residual = float(np.linalg.norm(sigma * x - y_noisy))
             return _trial_result(cfg, eta, t, dlt, float(k_star), x, x_true, residual, flagged)
 
-        if 0.0 < dlt < 1.0:
-            neg_log = -math.log(dlt)
-            rate_theory = lambert_w0(neg_log) / neg_log
-        else:
-            rate_theory = None
+        # the lifted rate W(-log delta) / (-log delta) is twice the W approximation of nu
+        rate_theory = 2.0 * nu_effective(dlt).nu_approx if 0.0 < dlt < 1.0 else None
         return _each_trial(one_trial), rate_theory
 
     return m, 1, at_eta

@@ -178,13 +178,13 @@ def expected_norm_upper(spec: NoiseSpec) -> float:
     return spec.eta * math.sqrt(spec.m)
 
 
-def _log_term(spec: NoiseSpec) -> float:
+def _log_term(eta: float, m: int) -> float:
     # ln(eta^2 * 2 pi * m^2 * (e/2)^m), evaluated in logs to avoid overflow
     return (
-        2.0 * math.log(spec.eta)
+        2.0 * math.log(eta)
         + math.log(2.0 * math.pi)
-        + 2.0 * math.log(spec.m)
-        + spec.m * (1.0 - math.log(2.0))
+        + 2.0 * math.log(m)
+        + m * (1.0 - math.log(2.0))
     )
 
 
@@ -193,7 +193,7 @@ def kyfan_bound_gaussian(spec: NoiseSpec) -> float:
 
     min{1, sqrt(2) * eta * sqrt(m - min(ln(eta^2 2 pi m^2 (e/2)^m), 0))}.
     """
-    inner = spec.m - min(_log_term(spec), 0.0)
+    inner = spec.m - min(_log_term(spec.eta, spec.m), 0.0)
     return min(1.0, math.sqrt(2.0) * spec.eta * math.sqrt(inner))
 
 
@@ -256,7 +256,7 @@ def tau_schedule(spec: NoiseSpec, kind: ConstantTau | LogInflatingTau) -> float:
     if isinstance(kind, ConstantTau):
         return kind.c
     if isinstance(kind, LogInflatingTau):
-        inner = 1.0 - _log_term(spec)
+        inner = 1.0 - _log_term(spec.eta, spec.m)
         # tau must inflate, never deflate: clamp at 1 from below
         return math.sqrt(inner) if inner > 1.0 else 1.0
     raise TypeError(f"unknown tau schedule {kind!r}")

@@ -287,7 +287,6 @@ def prox_gradient_solve(
     tol: float = 1e-10,
     max_iter=5000,
     record_objective: bool = False,
-    residual_floor=None,
 ) -> SolveReport:
     """Accelerated proximal gradient on ||F(x) - y||^2 + alpha * sum w_i |x_i|^p.
 
@@ -308,18 +307,13 @@ def prox_gradient_solve(
     ||x+ - z||, drops to ``tol`` (z is then a fixed point of the proximal
     gradient map to that accuracy); otherwise :class:`NonConvergence`
     carries the final state.  The forward map runs twice per iteration, at
-    z for the gradient and at x+ for the objective, so the residual at x is
-    known every iteration.  ``residual_floor`` enables discrepancy-style
-    early stopping: the iteration also ends once ||F(x) - y|| falls to that
-    level.  Under momentum the residual need not fall monotonically even
-    where the objective does, so the floor can fire on a transient dip.
+    z for the gradient and at x+ for the objective.
 
     Batches: with ``x0`` and ``y`` of shape (B, m), each row is its own
-    problem, with its own momentum and restarts.  ``alpha``, ``step``,
-    ``max_iter`` and ``residual_floor`` are then scalars or one value per
-    row, and ``forward(x)`` and ``derivative_adjoint(x, r)`` must act row by
-    row on any (k, m) block of the rows: a row leaves the block as soon as
-    it stops.  ``derivative_adjoint`` is always called at the block that was
+    problem, with its own momentum and restarts.  ``alpha``, ``step`` and
+    ``max_iter`` are then scalars or one value per row, and ``forward(x)``
+    and ``derivative_adjoint(x, r)`` must act row by row on any (k, m)
+    block of the rows: a row leaves the block as soon as it stops.  ``derivative_adjoint`` is always called at the block that was
     last passed to ``forward``, so a caller may reuse work between the two.
     The report's ``solution`` is (B, m), ``final_residual`` is a (B,) array
     and ``iterations`` is the total over rows; ``row_iterations`` and
@@ -345,7 +339,6 @@ def prox_gradient_solve(
     if not np.all(step > 0.0):
         raise ValueError(f"step must be positive, got {step!r}")
     budget = _per_row(max_iter, rows, "max_iter", dtype=int)
-    floor = _per_row(-np.inf if residual_floor is None else residual_floor, rows, "residual_floor")
     # unit weights broadcast from one entry, so thresholds stay (B, 1)
     w = np.ones(1) if weights is None else np.asarray(weights, dtype=float)
     if weights is not None and w.shape != (n,):
@@ -386,7 +379,7 @@ def prox_gradient_solve(
             keep = ~done
             active, x, z, t, y = active[keep], x[keep], z[keep], t[keep], y[keep]
             res_norm, value, alpha = res_norm[keep], value[keep], alpha[keep]
-            step, thresh, floor, budget = step[keep], thresh[keep], floor[keep], budget[keep]
+            step, thresh, budget = step[keep], thresh[keep], budget[keep]
             if not active.size:
                 break
         k += 1
@@ -412,7 +405,6 @@ def prox_gradient_solve(
             trace.append(float(value[0]))
         move *= momentum[:, np.newaxis]
         z = np.add(x, move, out=move)
-        stop |= res_norm <= floor
 
     report = SolveReport(
         solution=solution if batched else solution[0],

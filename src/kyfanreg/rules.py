@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .noise import _log_term
 from .regularization import SolveReport, Tikhonov, filter_reconstruct
 from .special import lambert_w0, reg_gamma_q
 
@@ -273,18 +274,13 @@ class BesovBalanceResult:
     gap: float
 
 
-def _besov_log_term(eta: float, m: int) -> float:
-    return min(
-        0.0,
-        2.0 * math.log(eta)
-        + math.log(2.0 * math.pi)
-        + 2.0 * math.log(m)
-        + m * (1.0 - math.log(2.0)),
-    )
+# the balancing scan: log10(alpha_tilde) over this range, at this many points
+_SCAN_LOG10_RANGE = (-12.0, 12.0)
+_SCAN_POINTS = 481
 
 
 def _besov_sides(params: BesovBalanceParams, alpha_tilde: float) -> tuple[float, float]:
-    lm = _besov_log_term(params.eta, params.m)
+    lm = min(_log_term(params.eta, params.m), 0.0)
     base = params.m - lm
     rho_p = params.rho**params.p
     err = params.eta * (math.sqrt(base) + math.sqrt(base + alpha_tilde * rho_p / 2.0))
@@ -297,19 +293,16 @@ def _besov_sides(params: BesovBalanceParams, alpha_tilde: float) -> tuple[float,
     return lhs, rhs
 
 
-def besov_balance_alpha(
-    params: BesovBalanceParams,
-    log10_range: tuple[float, float] = (-12.0, 12.0),
-    scan_points: int = 481,
-) -> BesovBalanceResult:
+def besov_balance_alpha(params: BesovBalanceParams) -> BesovBalanceResult:
     """Solve the balancing equation error-term = tail-probability-sum.
 
-    Scans log10(alpha_tilde) over ``log10_range`` for a sign change of
-    LHS - RHS (no global monotonicity is assumed), then bisects to a
-    relative gap of 1e-8.  Raises :class:`NoBracket` with the scan table
-    when no sign change exists.
+    Scans log10(alpha_tilde) on a fixed grid (``_SCAN_LOG10_RANGE``,
+    ``_SCAN_POINTS``) for a sign change of LHS - RHS (no global
+    monotonicity is assumed), then bisects to a relative gap of 1e-8.
+    Raises :class:`NoBracket` with the scan table when no sign change
+    exists.
     """
-    grid = np.linspace(log10_range[0], log10_range[1], scan_points)
+    grid = np.linspace(*_SCAN_LOG10_RANGE, _SCAN_POINTS)
     diffs = []
     for t in grid:
         lhs, rhs = _besov_sides(params, 10.0**t)

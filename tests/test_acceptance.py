@@ -142,7 +142,6 @@ def _autoconv_config(tau_spec):
         "seed": 42,
         "eta_grid": [1e-1, 1e-2, 1e-3, 1e-4],
         "trials_per_eta": 100,
-        "workers": 4,
         "noise_level": {"mode": "inflated-expectation", "tau": tau_spec},
         "caps": {"norm": 1000.0, "sup": 1000.0},
         "operator": {"kind": "autoconv", "size": 128},

@@ -117,6 +117,12 @@ class TestRunCommands:
         assert main(["run", "filter-study", "--config", cfg]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    def test_workers_key_is_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "a.yaml", dict(small_autoconv_config(), workers=4))
+        assert main(["run", "autoconv", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "workers" in captured.err and captured.out == ""
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["run", "filter-study", "--config", str(tmp_path / "none.yaml")])
         assert code == EXIT_CONFIG
@@ -167,7 +173,6 @@ class TestRunCommands:
             "seed": 3,
             "eta_grid": [0.01],
             "trials_per_eta": 30,
-            "workers": 4,
             "noise_level": {"mode": "inflated-expectation",
                             "tau": {"kind": "constant", "value": 1.3}},
             "caps": {"norm": 100.0, "sup": 100.0},

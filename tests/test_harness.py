@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import stat
@@ -171,12 +170,11 @@ class TestExport:
 
 
 class TestFilterStudy:
-    def test_determinism_across_workers(self):
+    def test_repeat_runs_are_identical(self):
         cfg = filter_config(trials_per_eta=40)
-        res1 = run_study(cfg)
-        res4 = run_study(dataclasses.replace(cfg, workers=4))
-        assert res1.trials == res4.trials
-        assert res1.summaries == res4.summaries
+        res1, res2 = run_study(cfg), run_study(cfg)
+        assert res1.trials == res2.trials
+        assert res1.summaries == res2.summaries
 
     def test_blocks_match_one_trial_at_a_time(self, monkeypatch):
         cfg = parse_config({
@@ -205,7 +203,7 @@ class TestFilterStudy:
         cfg = filter_config(trials_per_eta=30, eta_grid=[0.1, 0.01])
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         export(run_study(cfg).summaries, p1)
-        export(run_study(dataclasses.replace(cfg, workers=3)).summaries, p2)
+        export(run_study(cfg).summaries, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_zero_noise_sanity(self):
@@ -260,7 +258,7 @@ class TestFilterStudy:
 
 
 class TestAutoconvStudy:
-    def test_determinism_across_workers(self):
+    def test_repeat_runs_are_identical(self):
         cfg = parse_config({
             "schema_version": 1, "study": "autoconv", "seed": 3,
             "eta_grid": [1e-2, 1e-3], "trials_per_eta": 30,
@@ -271,10 +269,9 @@ class TestAutoconvStudy:
             "truth": {"kind": "two-bump", "amplitude": 0.31},
             "rule": {"kind": "discrepancy", "tau1": 1.1, "tau2": 1.3},
         })
-        res1 = run_study(cfg)
-        res4 = run_study(dataclasses.replace(cfg, workers=4))
-        assert res1.trials == res4.trials
-        assert res1.summaries == res4.summaries
+        res1, res2 = run_study(cfg), run_study(cfg)
+        assert res1.trials == res2.trials
+        assert res1.summaries == res2.summaries
 
 
 class TestBesovStudy:
@@ -322,7 +319,7 @@ class TestNuRandomStudy:
             "rule": {"kind": "discrepancy-stop", "tau_hat": 2.5},
         }
         res1 = run_study(parse_config(raw))
-        res2 = run_study(parse_config(dict(raw, workers=2)))
+        res2 = run_study(parse_config(raw))
         assert res1.trials == res2.trials
         for s in res1.summaries:
             assert s.rate_theory is not None and s.rate_theory > 0.0
@@ -374,10 +371,10 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="30"):
             filter_config(trials_per_eta=10)
 
-    def test_workers_validated(self):
-        assert filter_config(workers=4).workers == 4
-        with pytest.raises(ConfigError, match="workers"):
-            filter_config(workers=0)
+    def test_workers_key_rejected(self):
+        # trials run serially: a worker count would set nothing
+        with pytest.raises(ConfigError, match="unknown key.*workers"):
+            filter_config(workers=4)
 
     def test_unknown_solver_keys_are_named(self):
         with pytest.raises(ConfigError, match="config.solver") as info:

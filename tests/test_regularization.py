@@ -240,17 +240,6 @@ class TestProxGradient:
         assert info.value.report.iterations == 5
         assert info.value.report.solution.shape == (12,)
 
-    def test_residual_floor_stops_early(self):
-        op = SvdOperator.diagonal(np.ones(5))
-        y = np.full(5, 3.0)
-        report = prox_gradient_solve(
-            op.apply, lambda x, r: op.apply_adjoint(r), y, alpha=1e-8, weights=None,
-            p=1.0, step=1.0, x0=np.zeros(5), tol=1e-16, max_iter=1000,
-            residual_floor=1.0,
-        )
-        assert report.final_residual <= 1.0
-        assert report.iterations < 1000
-
 
 def _one_row(fn, *args, **kwargs):
     try:
@@ -261,7 +250,7 @@ def _one_row(fn, *args, **kwargs):
 
 @st.composite
 def _diagonal_batches(draw):
-    """Rows of independent diagonal problems with per-row alpha, step, budget, floor."""
+    """Rows of independent diagonal problems with per-row alpha, step and budget."""
     rows = draw(st.integers(min_value=1, max_value=5))
     n = draw(st.integers(min_value=1, max_value=12))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
@@ -271,10 +260,9 @@ def _diagonal_batches(draw):
     alpha = 10.0 ** gen.uniform(-4.0, 1.0, rows)
     step = gen.uniform(0.2, 1.0, rows)
     budget = gen.integers(0, 400, rows)
-    floor = gen.uniform(0.0, 1.0, rows) * np.linalg.norm(y, axis=1)
     x0 = gen.standard_normal((rows, n))
     p = draw(st.sampled_from([1.0, 2.0]))
-    return sigma, y, alpha, step, budget, floor, x0, p
+    return sigma, y, alpha, step, budget, x0, p
 
 
 class TestBatchedSolves:
@@ -283,12 +271,12 @@ class TestBatchedSolves:
     @given(_diagonal_batches())
     @settings(max_examples=100, deadline=None)
     def test_prox_rows_match_one_row_solves(self, problem):
-        sigma, y, alpha, step, budget, floor, x0, p = problem
+        sigma, y, alpha, step, budget, x0, p = problem
         fwd = lambda x: sigma * x  # noqa: E731 - acts on vectors and row blocks
         adj = lambda x, r: sigma * r  # noqa: E731
         batch = _one_row(
             prox_gradient_solve, fwd, adj, y, alpha=alpha, weights=None, p=p, step=step,
-            x0=x0, tol=1e-9, max_iter=budget, residual_floor=floor,
+            x0=x0, tol=1e-9, max_iter=budget,
         )
         assert batch.solution.shape == y.shape
         assert batch.iterations == int(np.sum(batch.row_iterations))
@@ -296,7 +284,6 @@ class TestBatchedSolves:
             one = _one_row(
                 prox_gradient_solve, fwd, adj, y[i], alpha=alpha[i], weights=None, p=p,
                 step=step[i], x0=x0[i], tol=1e-9, max_iter=int(budget[i]),
-                residual_floor=floor[i],
             )
             assert batch.row_iterations[i] == one.iterations
             assert batch.converged[i] == one.converged[0]
