@@ -532,6 +532,7 @@ def _besov_study(cfg: ExperimentConfig):
 
 
 def _landweber_stop_index(q2: np.ndarray, y_sq: np.ndarray, threshold: float, kmax: int):
+    # the first k <= kmax with residual <= threshold, or None if there is none;
     # residual^2 after k steps is sum q_n^(2k) y_n^2, monotone decreasing in k
     def res_sq(k):
         return float(np.sum(q2**k * y_sq))
@@ -539,15 +540,11 @@ def _landweber_stop_index(q2: np.ndarray, y_sq: np.ndarray, threshold: float, km
     thr_sq = threshold * threshold
     if res_sq(0) <= thr_sq:
         return 0
-    hi = 1
+    lo, hi = 0, 1  # res_sq(lo) > thr_sq throughout
     while res_sq(hi) > thr_sq:
-        hi *= 2
-        if hi > kmax:
-            raise NonConvergence(
-                f"discrepancy level not reached within {kmax} Landweber steps",
-                report=None,  # state carried by the caller
-            )
-    lo = hi // 2  # res_sq(lo) > thr_sq >= res_sq(hi)
+        if hi >= kmax:
+            return None
+        lo, hi = hi, min(2 * hi, kmax)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if res_sq(mid) > thr_sq:
@@ -574,11 +571,10 @@ def _nu_random_study(cfg: ExperimentConfig):
             nu = rng.uniform(0.0, 0.5)  # before the noise: the draw order fixes the data
             x_true = sigma ** (2.0 * nu) * v
             y_noisy = sigma * x_true + eta * rng.standard_normal(m)
-            flagged = False
-            try:
-                k_star = _landweber_stop_index(q2, y_noisy * y_noisy, cfg.rule.tau_hat * dlt, kmax)
-            except NonConvergence:
-                k_star, flagged = kmax, True
+            k_star = _landweber_stop_index(q2, y_noisy * y_noisy, cfg.rule.tau_hat * dlt, kmax)
+            flagged = k_star is None
+            if flagged:
+                k_star = kmax
             if k_star == 0:
                 x = np.zeros(m)
             else:

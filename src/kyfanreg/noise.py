@@ -9,11 +9,10 @@ level fed to deterministic parameter-choice rules.
 
 Reproducibility
 ---------------
-Randomness is counter-based (Philox).  ``sample_noise`` assigns each trial a
-fixed window of the raw counter stream, so every entry is a pure function of
-(seed, trial index, component index) and batching or worker count cannot
-change the output.  ``trial_rng`` keys an independent generator per trial for
-study loops that need several draws of varying shape per trial.
+Every draw comes from a Philox generator keyed by (seed, index), built by
+``trial_rng``.  ``sample_noise`` fills its (trials, m) array from the index-0
+generator in row order, so its first k rows are the same for any
+``trials >= k``.  Study loops key one generator per trial.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ __all__ = [
     "truncate_solution",
     "distance_to_set_kyfan",
 ]
-
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class NoiseSpec:
@@ -116,52 +112,24 @@ class InflatedExpectation:
     tau: ConstantTau | LogInflatingTau
 
 
-def _philox_key(seed: int, index: int) -> np.ndarray:
-    return np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
-
-
 def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent generator for one trial, keyed by (seed, index)."""
-    return np.random.Generator(np.random.Philox(key=_philox_key(seed, index)))
-
-
-def _box_muller(raw: np.ndarray, m: int) -> np.ndarray:
-    # raw: (trials, uniforms_per_trial) uint64 with uniforms_per_trial even.
-    # (r >> 11) spans [0, 2^53); +1 keeps u1 in (0, 1] so the log is finite.
-    half = raw.shape[1] // 2
-    u1 = ((raw[:, :half] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    u2 = (raw[:, half:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    z = np.empty((raw.shape[0], 2 * half))
-    z[:, 0::2] = radius * np.cos(angle)
-    z[:, 1::2] = radius * np.sin(angle)
-    return z[:, :m]
+    """Independent generator keyed by (seed, index), each in [0, 2**64)."""
+    if not (0 <= seed < 2**64 and 0 <= index < 2**64):
+        raise ValueError(
+            f"seed and index must lie in [0, 2**64), got seed={seed!r}, index={index!r}"
+        )
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
 def sample_noise(spec: NoiseSpec, seed: int, trials: int) -> np.ndarray:
     """Draw a (trials, m) array of i.i.d. N(0, eta^2) noise realizations.
 
-    Trial t occupies Philox counter blocks [t*b, (t+1)*b) for a fixed b, so
-    the result is bit-identical for any chunking or worker layout.
+    The rows are filled in order from ``trial_rng(seed, 0)``, so a shorter
+    draw is a prefix of a longer one at the same seed.
     """
     if not (isinstance(trials, (int, np.integer)) and trials >= 1):
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    m = spec.m
-    uniforms = 2 * ((m + 1) // 2)  # Box-Muller consumes pairs
-    blocks_per_trial = (uniforms + 3) // 4
-    per_trial = blocks_per_trial * 4
-
-    out = np.empty((trials, m))
-    chunk = max(1, (1 << 22) // per_trial)  # cap raw buffers at ~32 MB
-    key = _philox_key(seed, 0)
-    for start in range(0, trials, chunk):
-        stop = min(start + chunk, trials)
-        counter = np.zeros(4, dtype=np.uint64)
-        counter[0] = (start * blocks_per_trial) & _MASK64
-        bg = np.random.Philox(key=key, counter=counter)
-        raw = bg.random_raw((stop - start) * per_trial).reshape(stop - start, per_trial)
-        out[start:stop] = _box_muller(raw[:, :uniforms], m)
+    out = trial_rng(seed, 0).standard_normal((trials, spec.m))
     out *= spec.eta
     return out
 

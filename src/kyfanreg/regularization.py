@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .noise import trial_rng
+
 __all__ = [
     "Tikhonov",
     "Tsvd",
@@ -434,9 +436,8 @@ def operator_norm_squared(
     estimates is returned.  Every row starts from the same seeded vector
     and runs the iteration a one-row call would run.
     """
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
     batched = rows is not None
-    v = np.tile(rng.standard_normal(n), (rows if batched else 1, 1))
+    v = np.tile(trial_rng(seed, 0).standard_normal(n), (rows if batched else 1, 1))
     v /= _row_norms(v)[:, np.newaxis]
     apply_fn = _as_block(apply_fn, batched)
     adjoint_fn = _as_block(adjoint_fn, batched)

@@ -73,6 +73,13 @@ class TestKyfanCommands:
         freq = float(out.splitlines()[1].split("=")[1].split()[0])
         assert abs(tail - freq) < 0.01
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_tail_mc_rejects_seed_out_of_range(self, seed, capsys):
+        code = main(["kyfan", "tail", "--tau", "1.5", "--m", "4",
+                     "--check-mc", "1000", "--seed", seed])
+        assert code == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+
 
 class TestRunCommands:
     def test_filter_study_to_csv(self, tmp_path, capsys):

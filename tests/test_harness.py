@@ -4,6 +4,8 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from kyfanreg import harness
@@ -324,6 +326,27 @@ class TestNuRandomStudy:
         for s in res1.summaries:
             assert s.rate_theory is not None and s.rate_theory > 0.0
             assert s.alpha_or_kstar >= 0.0
+
+
+class TestLandweberStopIndex:
+    # residual^2 after k steps is 0.25^k: it first reaches 0.03 at k = 3,
+    # which a search over powers of two alone misses when kmax = 3
+    @example([(0.25, 1.0)], math.sqrt(0.03), 3)
+    @example([(0.25, 1.0)], math.sqrt(0.03), 2)
+    @given(
+        st.lists(st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 10.0)), min_size=1, max_size=5),
+        st.floats(1e-3, 10.0),
+        st.integers(1, 64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, pairs, threshold, kmax):
+        q2, y_sq = (np.array(column) for column in zip(*pairs))
+        brute = next(
+            (k for k in range(kmax + 1)
+             if float(np.sum(q2**k * y_sq)) <= threshold * threshold),
+            None,
+        )
+        assert harness._landweber_stop_index(q2, y_sq, threshold, kmax) == brute
 
 
 class TestConfigValidation:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from kyfanreg.noise import (
     sample_noise,
     tail_prob_tau,
     tau_schedule,
+    trial_rng,
     truncate_solution,
 )
 
@@ -63,6 +65,34 @@ class TestSampler:
         c = sample_noise(spec, seed=99, trials=700)
         assert np.array_equal(a[:700], c)
         assert not np.array_equal(a, sample_noise(spec, seed=100, trials=5000))
+
+    @pytest.mark.parametrize("m", [1, 5, 8])
+    def test_one_fill_from_trial_rng(self, m):
+        spec = NoiseSpec(eta=0.7, m=m)
+        expected = trial_rng(31, 0).standard_normal((2000, m)) * spec.eta
+        assert np.array_equal(sample_noise(spec, seed=31, trials=2000), expected)
+
+    @pytest.mark.parametrize(("m", "trials"), [(1, 1_000_000), (64, 100_000)])
+    def test_peak_memory_is_the_output(self, m, trials):
+        tracemalloc.start()
+        try:
+            out = sample_noise(NoiseSpec(eta=0.1, m=m), seed=4, trials=trials)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 2**20
+
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_rejects_seed_out_of_range(self, bad):
+        with pytest.raises(ValueError, match="seed"):
+            sample_noise(NoiseSpec(eta=1.0, m=2), seed=bad, trials=10)
+        with pytest.raises(ValueError, match="seed"):
+            trial_rng(bad, 0)
+        with pytest.raises(ValueError, match="index"):
+            trial_rng(0, bad)
+
+    def test_largest_seed_and_index_accepted(self):
+        trial_rng(2**64 - 1, 2**64 - 1)
 
 
 class TestExpectedNorm:

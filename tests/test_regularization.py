@@ -540,3 +540,9 @@ class TestOperatorNormSquared:
         op = SvdOperator.diagonal([3.0, 1.0, 0.1])
         est = operator_norm_squared(op.apply, op.apply_adjoint, 3, iters=100)
         assert est == pytest.approx(9.0, rel=1e-6)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_out_of_range(self, seed):
+        op = SvdOperator.diagonal([3.0, 1.0])
+        with pytest.raises(ValueError, match="seed"):
+            operator_norm_squared(op.apply, op.apply_adjoint, 2, seed=seed)
