@@ -19,7 +19,9 @@ caps           : {norm: R, sup: S} truncation caps for expectation summaries
 operator       : study-dependent operator spec (see below)
 truth          : study-dependent ground-truth spec
 rule           : parameter-choice rule spec
-solver         : optional study-specific solver knobs (see _STUDY_SPECS)
+solver         : optional study-specific solver knobs (see _STUDY_SPECS);
+                 integer knobs must be at least 1, and besov needs p in
+                 [1, 2] and zeta = s - d(1/2 - 1/p) > 0
 
 Operator specs: {kind: diagonal, singular_values: [...]},
 {kind: diagonal-powerlaw, size: n, decay: q} for sigma_k = k^-q,
@@ -300,6 +302,18 @@ def _check_landweber_step(gamma: float, operator: dict) -> None:
         )
 
 
+def _check_besov_smoothness(solver: dict) -> None:
+    # the Besov weights need p in [1, 2] and zeta = s - d(1/2 - 1/p) > 0
+    s, p, d = solver["s"], solver["p"], solver["d"]
+    if not 1.0 <= p <= 2.0:
+        raise ConfigError(f"config.solver.p: must lie in [1, 2], got {p!r}")
+    zeta = s - d * (0.5 - 1.0 / p)
+    if not zeta > 0.0:
+        raise ConfigError(
+            f"config.solver.s: smoothness too low: zeta = s - d(1/2 - 1/p) = {zeta!r} <= 0"
+        )
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a config mapping and build the parsed experiment definition."""
     top = _take(
@@ -353,8 +367,14 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     operator = _parse_kinded(top["operator"], _OPERATOR_SCHEMAS, "config.operator")
     solver = _take(top["solver"], "config.solver", {}, study["solver"])
+    for key, (kind, _) in study["solver"].items():
+        # every integer solver key counts iterations, steps or dimensions
+        if kind is int and solver[key] < 1:
+            raise ConfigError(f"config.solver.{key}: must be at least 1, got {solver[key]!r}")
     if solver.get("gamma") is not None:
         _check_landweber_step(solver["gamma"], operator)
+    if top["study"] == "besov":
+        _check_besov_smoothness(solver)
 
     return ExperimentConfig(
         study=top["study"],

@@ -14,9 +14,10 @@ every trial.  The parsed config is known to suit the study.
 
 Determinism: every trial draws from a generator keyed by
 (seed, eta_index << 32 | trial), trials run serially in trial order, and
-summaries are reduced in trial order.  The autoconvolution study solves the
-trials of an eta together, in blocks fixed by the grid size and the trial
-order, so its outputs repeat exactly as well.
+summaries are reduced in trial order.  The autoconvolution and Besov
+studies solve the trials of an eta together, in blocks fixed by the grid
+size and the trial order, so their outputs repeat exactly as well; a Besov
+record does not depend on the block size at all.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .regularization import (
     NonConvergence,
     Tikhonov,
     Tsvd,
+    _row_norms,
     filter_reconstruct,
     operator_norm_squared,
     prox_gradient_solve,
@@ -425,10 +427,10 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target, knobs, seed):
     return last_alpha, coeffs, residual, in_band
 
 
-# Trials solved together: enough rows to spread numpy's per-call cost,
-# few enough that each (rows, m) array holds at most this many doubles.
-# A solve keeps about twenty such arrays alive; solving all 200 trials of an
-# eta at m = 128 as one block raised peak memory by about 10%.
+# Trials solved together by the autoconv and besov studies: enough rows to
+# spread numpy's per-call cost, few enough that each (rows, m) array holds at
+# most this many doubles.  An autoconv solve keeps about twenty such arrays
+# alive; one 200-trial block per eta at m = 128 raised peak memory by 10%.
 _BLOCK_DOUBLES = 4096
 
 
@@ -513,19 +515,20 @@ def _besov_study(cfg: ExperimentConfig):
             except NoBracket:
                 alpha, balance_failed = math.inf, True
 
-        def one_trial(t, rng):
-            y_noisy = y_exact + eta * rng.standard_normal(n)
+        def solve_block(block, rngs):
+            y_noisy = np.stack([y_exact + eta * rng.standard_normal(n) for rng in rngs])
             if math.isinf(alpha):
-                c = np.zeros(n)
+                c = np.zeros_like(y_noisy)
             else:
                 # diagonal operator: the weighted-lp minimizer separates per coefficient
                 c = prox_weighted_lp(y_noisy / sigma, alpha * bw.weights / (2.0 * sigma**2), p)
-            residual = float(np.linalg.norm(sigma * c - y_noisy))
-            return _trial_result(cfg, eta, t, dlt, alpha, c, c_true, residual, balance_failed)
+            residuals = _row_norms(sigma * c - y_noisy)
+            return [_trial_result(cfg, eta, t, dlt, alpha, x, c_true, float(r), balance_failed)
+                    for t, x, r in zip(block, c, residuals)]
 
-        return _each_trial(one_trial), None
+        return solve_block, None
 
-    return n, 1, at_eta
+    return n, max(1, _BLOCK_DOUBLES // n), at_eta
 
 
 # -- random source exponent (Landweber) study ---------------------------------

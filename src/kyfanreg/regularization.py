@@ -192,44 +192,40 @@ def soft_threshold(v, t):
 
 
 def _prox_power_vec(v: np.ndarray, t: np.ndarray, p: float) -> np.ndarray:
-    # root of g(u) = u + t p u^(p-1) - |v| on [0, |v|]; g is increasing with
-    # g(0) <= 0 <= g(|v|), so a bracket-safeguarded Newton cannot escape
-    av = np.abs(v)
-    t = np.broadcast_to(t, av.shape).astype(float)
-    lo = np.zeros_like(av)
-    hi = av.copy()
-    u = av.copy()
-    for _ in range(200):
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            g = u + t * p * np.where(u > 0.0, u, 1.0) ** (p - 1.0) * (u > 0.0) - av
-            if np.all(np.abs(g) <= 1e-13):
+    # monotone Newton in s = |x|^(p-1), entry by entry (see prox_weighted_lp);
+    # overflow needs |v| or 1/t near the largest double, and then only picks
+    # the other starting bound or stops the entry
+    v, t = np.broadcast_arrays(v, t)
+    out = v.astype(float)  # t = 0 leaves v as it is
+    idx = np.flatnonzero(t > 0.0)
+    av = np.abs(v.ravel()[idx])
+    tp = t.ravel()[idx] * p
+    q = 1.0 / (p - 1.0)
+    with np.errstate(over="ignore"):
+        s = np.minimum(av ** (p - 1.0), av / tp)
+        live = np.arange(idx.size)
+        for _ in range(100):  # a guard: even p = 1 + 1e-9 stops within 16 steps
+            sl = s[live]
+            sq1 = sl ** (q - 1.0)
+            s_next = sl - (sl * sq1 + tp[live] * sl - av[live]) / (q * sq1 + tp[live])
+            down = s_next < sl
+            live = live[down]
+            if not live.size:
                 break
-            dg = 1.0 + t * p * (p - 1.0) * np.where(u > 0.0, u, 1.0) ** (p - 2.0)
-            newton = u - g / dg
-        lo = np.where(g < 0.0, u, lo)
-        hi = np.where(g > 0.0, u, hi)
-        # geometric fallback: roots can sit many orders below |v| when p ~ 1
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            mid = np.where(lo > 0.0, np.sqrt(lo * hi), hi * 1e-4)
-        inside = (newton > lo) & (newton < hi)
-        u = np.where(inside, newton, mid)
-    # the root can underflow double precision entirely; return zero when that
-    # leaves the smaller defining-equation residual
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g_final = np.abs(u + t * p * np.where(u > 0.0, u, 1.0) ** (p - 1.0) * (u > 0.0) - av)
-    u = np.where(g_final <= av, u, 0.0)
-    return np.sign(v) * u
+            s[live] = s_next[down]
+    out.ravel()[idx] = np.sign(v.ravel()[idx]) * s**q
+    return out
 
 
 def prox_weighted_lp(v, t, p: float):
     """Proximal map of t |.|^p for p in [1, 2].
 
     p = 1 is soft thresholding, p = 2 is v / (1 + 2t); for p in (1, 2) the
-    output x solves x + t p sign(x)|x|^(p-1) = v to |residual| <= 1e-12,
-    as long as the root is representable: for p extremely close to 1 the
-    root (|v|/(t p))^(1/(p-1)) can underflow double precision, in which
-    case 0 is returned (the representable value with the smallest
-    defining-equation residual, matching the soft-threshold limit).
+    output x solves x + t p sign(x)|x|^(p-1) = v (x = v where t = 0).  Newton
+    in s = |x|^(p-1), on the convex increasing s^(1/(p-1)) + t p s - |v|,
+    starts above the root at min(|v|^(p-1), |v|/(t p)) and falls onto it; an
+    entry stops once a step no longer decreases s, so it depends on (v, t) only.
+    A root that underflows double precision, as for p near 1, comes out as 0.
     """
     v_arr = np.asarray(v, dtype=float)
     t_arr = np.asarray(t, dtype=float)
@@ -253,7 +249,7 @@ def _prox_lp(v: np.ndarray, t: np.ndarray, p: float) -> np.ndarray:
         return out
     if p == 2.0:
         return v / (1.0 + 2.0 * t)
-    return _prox_power_vec(np.atleast_1d(v), np.atleast_1d(t), p).reshape(v.shape)
+    return _prox_power_vec(v, t, p)
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:

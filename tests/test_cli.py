@@ -42,6 +42,21 @@ def small_autoconv_config():
     }
 
 
+def small_nu_random_config():
+    return {
+        "schema_version": 1,
+        "study": "nu-random",
+        "seed": 3,
+        "eta_grid": [1e-3],
+        "trials_per_eta": 30,
+        "noise_level": {"mode": "kyfan-bound"},
+        "caps": {"norm": 100.0, "sup": 100.0},
+        "operator": {"kind": "diagonal-powerlaw", "size": 30, "decay": 1.0},
+        "truth": {"kind": "random-source", "power": -0.5, "norm": 1.0},
+        "rule": {"kind": "discrepancy-stop", "tau_hat": 2.5},
+    }
+
+
 class TestKyfanCommands:
     def test_bound(self, capsys):
         assert main(["kyfan", "bound", "--eta", "0.1", "--m", "4"]) == EXIT_OK
@@ -172,6 +187,13 @@ class TestRunCommands:
         assert main(["run", "nu-random", "--config", cfg]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "config.solver.gamma" in captured.err and captured.out == ""
+
+    def test_zero_kmax_is_config_error(self, tmp_path, capsys):
+        raw = dict(small_nu_random_config(), solver={"kmax": 0})  # no step would be taken
+        cfg = write_config(tmp_path / "nu.yaml", raw)
+        assert main(["run", "nu-random", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config.solver.kmax" in captured.err and captured.out == ""
 
     def test_autoconv_csv_shape(self, tmp_path, capsys):
         raw = {

@@ -308,6 +308,15 @@ class TestBesovStudy:
         assert s.alpha_or_kstar == pytest.approx(expected, rel=1e-9)
         assert s.flagged_count == 0
 
+    @pytest.mark.parametrize("p", [1.5, 1.0])
+    def test_blocks_match_one_trial_at_a_time(self, monkeypatch, p):
+        cfg = parse_config(dict(STUDY_CONFIGS["besov"], solver={"s": 1.0, "p": p, "d": 1}))
+        together = run_study(cfg)  # one block holds all 30 trials at n = 64
+        monkeypatch.setattr(harness, "_BLOCK_DOUBLES", 64)  # one trial per block
+        alone = run_study(cfg)
+        assert together.trials == alone.trials
+        assert together.summaries == alone.summaries
+
 
 class TestNuRandomStudy:
     def test_ratio_fields_and_determinism(self):
@@ -450,6 +459,30 @@ class TestConfigValidation:
             parse_config(dict(raw, solver={"gamma": gamma}))
         # gamma * sigma_1^2 = 1 is still a contraction
         assert parse_config(dict(raw, solver={"gamma": largest_ok})).solver["gamma"] == largest_ok
+
+    @pytest.mark.parametrize("study, key", [
+        ("nu-random", "kmax"),
+        ("autoconv", "max_iter"),
+        ("autoconv", "max_budget"),
+        ("autoconv", "total_budget"),
+        ("autoconv", "max_alpha_steps"),
+        ("besov", "d"),
+    ])
+    def test_integer_solver_keys_at_least_one(self, study, key):
+        for value in (0, -1):
+            with pytest.raises(ConfigError, match=f"config.solver.{key}: must be at least 1"):
+                parse_config(dict(STUDY_CONFIGS[study], solver={key: value}))
+        assert parse_config(dict(STUDY_CONFIGS[study], solver={key: 1})).solver[key] == 1
+
+    @pytest.mark.parametrize("solver, match", [
+        ({"p": 0.5}, "config.solver.p: must lie in"),
+        ({"p": 2.5}, "config.solver.p: must lie in"),
+        ({"s": 0.0, "p": 2.0}, "config.solver.s: smoothness too low"),
+        ({"s": -1.0, "p": 1.5}, "config.solver.s: smoothness too low"),
+    ])
+    def test_besov_smoothness_checked_at_parse(self, solver, match):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(dict(STUDY_CONFIGS["besov"], solver=solver))
 
     def test_solver_defaults_filled_in(self):
         assert parse_config(STUDY_CONFIGS["autoconv"]).solver == {

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from kyfanreg.operators import (
     AutoconvGrid,
@@ -167,6 +168,68 @@ class TestProxWeightedLp:
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             prox_weighted_lp(1.0, 0.1, 0.5)
+
+    @staticmethod
+    def bisection_root(v, t, p):
+        # the root of u + t p u^(p-1) = |v| by bisection in log u, as a float
+        a = abs(v)
+        if t == 0.0 or a == 0.0:
+            return v
+        tp = t * p
+
+        def g(log_u):
+            return math.exp(log_u) + tp * math.exp((p - 1.0) * log_u) - a
+
+        # g < 0 at u = e^-10 min(|v|, (|v|/(t p))^(1/(p-1))), g >= 0 at u = |v|
+        hi = math.log(a)
+        lo = min(hi, (hi - math.log(tp)) / (p - 1.0)) - 10.0
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if g(mid) > 0.0:
+                hi = mid
+            else:
+                lo = mid
+        u = min(math.exp(lo), math.exp(hi), key=lambda u: abs(u + tp * u ** (p - 1.0) - a))
+        return math.copysign(u, v)
+
+    # a root near 1.9e-178, and one below the smallest double
+    @example(1.179857927644577, 143.7195838562522, 1.0 + 1.0 / 85.0)
+    @example(1e-4, 1.0, 1.0 + 1.0 / 85.0)
+    @given(
+        st.floats(min_value=-1e3, max_value=1e3),
+        st.floats(min_value=0.0, max_value=1e3),
+        st.floats(min_value=1.0 + 1.0 / 85.0, max_value=2.0, exclude_max=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_residual_matches_bisection(self, v, t, p):
+        def residual(x):
+            return abs(x + t * p * math.copysign(abs(x) ** (p - 1.0), x) - v)
+
+        x = prox_weighted_lp(v, t, p)
+        reference = self.bisection_root(v, t, p)
+        assert residual(x) <= residual(reference) + 1e-12 * max(abs(v), 1.0)
+
+    @given(
+        hnp.arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 6)),
+                   elements=st.floats(min_value=-1e3, max_value=1e3)),
+        st.floats(min_value=1.0 + 1.0 / 85.0, max_value=2.0, exclude_max=True),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_block_matches_rows_and_scalars(self, v, p, data):
+        t = data.draw(hnp.arrays(float, v.shape[1], elements=st.floats(0.0, 1e3)))
+        block = prox_weighted_lp(v, t, p)
+        rows = np.stack([prox_weighted_lp(row, t, p) for row in v])
+        scalars = np.array([[prox_weighted_lp(vj, tj, p) for vj, tj in zip(row, t)] for row in v])
+        assert block.shape == v.shape
+        assert block.tobytes() == rows.tobytes() == scalars.tobytes()
+
+    @pytest.mark.parametrize("p", [1.0 + 1.0 / 85.0, 1.2, 1.5, 1.9])
+    def test_zero_threshold_and_zero_data(self, p):
+        assert prox_weighted_lp(3.0, 0.0, p) == 3.0
+        assert prox_weighted_lp(0.0, 2.0, p) == 0.0
+        v = np.array([3.0, -2.5, 1e-300, 0.0, 0.0])
+        t = np.array([0.0, 0.0, 0.0, 2.0, 0.0])
+        assert prox_weighted_lp(v, t, p).tobytes() == v.tobytes()
 
 
 class TestProxGradient:
