@@ -8,9 +8,10 @@ kyfan tail       tail probability of ||noise|| above tau * expectation
 run <study>      run a configured Monte Carlo study, write summary CSV
 predict          evaluate the rate predictors
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (no
-bracket for the balancing rule, or a study dominated by non-converged
-trials).
+Exit codes: 0 success, 2 configuration, argument or I/O error, 3 numerical
+failure (an error raised inside a study run, whose config has been checked
+in full by then; no bracket for the balancing rule; or a study dominated by
+non-converged trials).
 """
 
 from __future__ import annotations
@@ -139,7 +140,12 @@ def _cmd_run(args) -> int:
         raise ConfigError(
             f"config declares study {cfg.study!r} but the subcommand expects {args.study!r}"
         )
-    result = run_study(cfg)
+    try:
+        result = run_study(cfg)
+    except (ValueError, ArithmeticError) as exc:
+        # the config was checked by building its specs: the computation failed
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     out = sys.stdout if args.out is None else args.out
     if cfg.study == "autoconv":
         export_autoconv_panels(result.summaries, out)

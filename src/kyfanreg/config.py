@@ -23,15 +23,15 @@ solver         : optional study-specific solver knobs (see _STUDY_SPECS);
                  integer knobs must be at least 1, and besov needs p in
                  [1, 2] and zeta = s - d(1/2 - 1/p) > 0
 
-Operator specs: {kind: diagonal, singular_values: [...]},
+Operator specs: {kind: diagonal, singular_values: [...]} (non-increasing),
 {kind: diagonal-powerlaw, size: n, decay: q} for sigma_k = k^-q,
 {kind: csv, path: file} for a dense matrix factorized by SVD,
 {kind: haar-diagonal, levels: L, decay: b} acting as 2^(-b*level) on Haar
 coefficients, and {kind: autoconv, size: m} for the quadratic
-autoconvolution map on an m-point grid.
+autoconvolution map on an m-point grid, m a power of two.
 
-Truth specs: {kind: explicit, values: [...]},
-{kind: source-powerlaw, exponent: e, power: p, norm: r} building
+Truth specs: {kind: explicit, values: [...]} of the operator's solution
+length, {kind: source-powerlaw, exponent: e, power: p, norm: r} building
 x = (A*A)^e z from z_k proportional to k^p scaled to ||z|| = r,
 {kind: random-source, power: p, norm: r} (nu-random study; the source
 exponent is drawn per trial), {kind: two-bump, amplitude: a} (autoconv),
@@ -43,17 +43,25 @@ Rule specs: {kind: apriori, beta, nu, rho, constant},
 {kind: fixed, alpha}, {kind: kyfan-squared, scale} for
 alpha = scale * rho_K^2 / rho^p, and {kind: besov-balance, constant} for
 alpha = alpha_tilde(eta) * eta^2 with alpha_tilde from the balancing
-equation.
+equation.  The discrepancy rule solves by Tikhonov, so the filter study
+rejects it with the tsvd filter.
+
+The parser checks operator and truth specs by building them with
+``build_operator`` and ``build_truth``, the builders the studies call, and
+checks the besov solver keys with ``besov_weights``.  A spec these reject
+is a ConfigError that names its section, so a config that parses fails in
+a study only for numerical reasons.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
+import numpy as np
 import yaml
 
 from .noise import ConstantTau, InflatedExpectation, KyFanBound, LogInflatingTau
+from .operators import SvdOperator, besov_weights, haar_level_indices
 from .rules import AprioriFilter, Discrepancy, DiscrepancyStop, Fixed
 
 __all__ = [
@@ -61,6 +69,8 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "KyFanSquared",
+    "build_operator",
+    "build_truth",
     "load_config",
     "parse_config",
 ]
@@ -171,10 +181,7 @@ def _parse_tau(spec: dict, where: str):
     kind = _mapping(spec, where).get("kind")
     if kind == "constant":
         got = _take(spec, where, {"kind": str, "value": float})
-        try:
-            return ConstantTau(got["value"])
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        return _built(where, ConstantTau, got["value"])
     if kind == "log-inflating":
         _take(spec, where, {"kind": str})
         return LogInflatingTau()
@@ -271,46 +278,66 @@ def _parse_rule(spec: dict, where: str):
     make, required, optional = _RULE_SCHEMAS[spec["kind"]]
     got = _take(spec, where, {"kind": str, **required}, optional)
     del got["kind"]
+    return _built(where, make, **got)
+
+
+def _built(where: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; a spec it rejects is a ConfigError at ``where``."""
     try:
-        return make(**got)
-    except ValueError as exc:
+        return build(*args, **kwargs)
+    except (ValueError, OSError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _largest_singular_value(operator: dict) -> float:
-    # sigma_1 of a diagonal operator spec, as the study builds the operator
-    if operator["kind"] == "diagonal":
-        values = operator["singular_values"]
-        return max((_coerce(v, float, "config.operator.singular_values[*]") for v in values),
-                   default=0.0)
-    if operator["kind"] == "haar-diagonal":
-        # 2^(-decay * level) over the levels 0..L: level 0 leads unless decay < 0
-        exponent = max(0.0, -operator["decay"] * operator["levels"])
-        return math.inf if exponent >= 1024.0 else 2.0**exponent
-    return 1.0  # diagonal-powerlaw: k^(-decay) at k = 1 leads a non-increasing sequence
+def build_operator(spec: dict) -> SvdOperator:
+    """The operator of a parsed spec; for autoconv, the identity on its grid."""
+    kind = spec["kind"]
+    if kind == "diagonal":
+        return SvdOperator.diagonal(np.asarray(spec["singular_values"], dtype=float))
+    if kind == "diagonal-powerlaw":
+        n = np.arange(1, spec["size"] + 1, dtype=float)
+        return SvdOperator.diagonal(n ** (-spec["decay"]))
+    if kind == "csv":
+        return SvdOperator.from_csv(spec["path"])
+    if kind == "autoconv":
+        # truth specs act through the identity; the study's Haar basis needs 2^L points
+        haar_level_indices(spec["size"])
+        return SvdOperator.diagonal(np.ones(spec["size"]))
+    levels = haar_level_indices(2 ** spec["levels"])  # haar-diagonal
+    return SvdOperator.diagonal(np.sort(2.0 ** (-spec["decay"] * levels))[::-1])
 
 
-def _check_landweber_step(gamma: float, operator: dict) -> None:
+def build_truth(spec: dict, op: SvdOperator) -> np.ndarray:
+    """The true solution of a parsed spec for ``op``; random-source gives its source z."""
+    kind, n = spec["kind"], op.solution_dim
+    if kind == "explicit":
+        x = np.asarray(spec["values"], dtype=float)
+        if x.shape != (n,):
+            raise ValueError(f"explicit truth has {x.size} values, but the solution length is {n}")
+        return x
+    if kind == "two-bump":
+        # two piecewise-constant bumps on dyadic intervals over a positive base
+        # level: exactly sparse in Haar, and bounded away from zero at s = 0 so
+        # the triangular structure of the autoconvolution stays well-posed there
+        t, amplitude = (np.arange(n) + 0.5) / n, spec["amplitude"]
+        x = np.full(n, amplitude)
+        x[(t >= 0.125) & (t < 0.375)] += 0.5 * amplitude
+        x[(t >= 0.625) & (t < 0.875)] += 0.25 * amplitude
+        return x
+    z = np.arange(1, n + 1, dtype=float) ** spec["power"]
+    z = z * (spec["norm"] / np.linalg.norm(z))  # z_k ~ k^power with ||z|| = norm
+    return z if kind == "random-source" else op.source_element(spec["exponent"], z)
+
+
+def _check_landweber_step(gamma: float, op: SvdOperator) -> None:
     # Landweber steps contract only for 0 < gamma * sigma_1^2 <= 1
     if not gamma > 0.0:
         raise ConfigError(f"config.solver.gamma: must be positive, got {gamma!r}")
-    sigma_1 = _largest_singular_value(operator)
+    sigma_1 = float(op.singular_values[0])
     if gamma * sigma_1**2 > 1.0:
         raise ConfigError(
             f"config.solver.gamma: {gamma!r} violates the Landweber contraction bound "
             f"gamma * sigma_1^2 <= 1 (sigma_1 = {sigma_1!r})"
-        )
-
-
-def _check_besov_smoothness(solver: dict) -> None:
-    # the Besov weights need p in [1, 2] and zeta = s - d(1/2 - 1/p) > 0
-    s, p, d = solver["s"], solver["p"], solver["d"]
-    if not 1.0 <= p <= 2.0:
-        raise ConfigError(f"config.solver.p: must lie in [1, 2], got {p!r}")
-    zeta = s - d * (0.5 - 1.0 / p)
-    if not zeta > 0.0:
-        raise ConfigError(
-            f"config.solver.s: smoothness too low: zeta = s - d(1/2 - 1/p) = {zeta!r} <= 0"
         )
 
 
@@ -366,15 +393,28 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("config.caps: norm and sup caps must be positive")
 
     operator = _parse_kinded(top["operator"], _OPERATOR_SCHEMAS, "config.operator")
+    truth = _parse_kinded(top["truth"], _TRUTH_SCHEMAS, "config.truth")
+    op = _built("config.operator", build_operator, operator)
+    if truth["kind"] != "level-spikes":  # built from the Besov weights checked below
+        _built("config.truth", build_truth, truth, op)
     solver = _take(top["solver"], "config.solver", {}, study["solver"])
     for key, (kind, _) in study["solver"].items():
         # every integer solver key counts iterations, steps or dimensions
         if kind is int and solver[key] < 1:
             raise ConfigError(f"config.solver.{key}: must be at least 1, got {solver[key]!r}")
+    if solver.get("filter") == "tsvd" and top["rule"]["kind"] == "discrepancy":
+        raise ConfigError(
+            "config.solver.filter: tsvd cannot be used with the discrepancy rule, "
+            "which chooses alpha and solves by Tikhonov"
+        )
     if solver.get("gamma") is not None:
-        _check_landweber_step(solver["gamma"], operator)
+        _check_landweber_step(solver["gamma"], op)
     if top["study"] == "besov":
-        _check_besov_smoothness(solver)
+        try:
+            besov_weights(solver["s"], solver["p"], solver["d"], operator["levels"])
+        except ValueError as exc:  # the message starts with the argument's name
+            section = "config.operator" if str(exc).startswith("levels:") else "config.solver"
+            raise ConfigError(f"{section}.{exc}") from exc
 
     return ExperimentConfig(
         study=top["study"],
@@ -384,7 +424,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         noise_mode=_parse_noise_level(top["noise_level"], "config.noise_level"),
         caps=Caps(norm=caps_got["norm"], sup=caps_got["sup"]),
         operator=operator,
-        truth=_parse_kinded(top["truth"], _TRUTH_SCHEMAS, "config.truth"),
+        truth=truth,
         rule=_parse_rule(top["rule"], "config.rule"),
         solver=solver,
     )

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, KyFanSquared
+from .config import ExperimentConfig, KyFanSquared, build_operator, build_truth
 from .noise import (
     NoiseSpec,
     delta_eff,
@@ -40,7 +40,6 @@ from .noise import (
 )
 from .operators import (
     AutoconvGrid,
-    SvdOperator,
     autoconv_apply,
     autoconv_derivative_adjoint_apply,
     autoconv_derivative_apply,
@@ -221,37 +220,6 @@ def _summarize(eta: float, dlt: float, trials: list, rate_theory) -> EtaSummary:
     )
 
 
-def _build_operator(spec: dict) -> SvdOperator:
-    kind = spec["kind"]
-    if kind == "diagonal":
-        return SvdOperator.diagonal(np.asarray(spec["singular_values"], dtype=float))
-    if kind == "diagonal-powerlaw":
-        n = np.arange(1, spec["size"] + 1, dtype=float)
-        return SvdOperator.diagonal(n ** (-spec["decay"]))
-    if kind == "csv":
-        return SvdOperator.from_csv(spec["path"])
-    levels = haar_level_indices(2 ** spec["levels"])  # haar-diagonal
-    return SvdOperator.diagonal(np.sort(2.0 ** (-spec["decay"] * levels))[::-1])
-
-
-def _powerlaw_vector(n: int, power: float, norm: float) -> np.ndarray:
-    v = np.arange(1, n + 1, dtype=float) ** power
-    return v * (norm / np.linalg.norm(v))
-
-
-def _build_truth(spec: dict, op: SvdOperator) -> np.ndarray:
-    kind = spec["kind"]
-    if kind == "explicit":
-        x = np.asarray(spec["values"], dtype=float)
-        if x.size != op.solution_dim:
-            raise ValueError("explicit truth does not match the operator dimension")
-        return x
-    if kind == "two-bump":
-        return _two_bump_truth(op.solution_dim, spec["amplitude"])
-    z = _powerlaw_vector(op.solution_dim, spec["power"], spec["norm"])  # source-powerlaw
-    return op.source_element(spec["exponent"], z)
-
-
 def _choose_alpha(cfg: ExperimentConfig, op, y_noisy, dlt):
     rule = cfg.rule
     if isinstance(rule, AprioriFilter):
@@ -266,8 +234,8 @@ def _choose_alpha(cfg: ExperimentConfig, op, y_noisy, dlt):
 
 
 def _filter_study(cfg: ExperimentConfig):
-    op = _build_operator(cfg.operator)
-    x_true = _build_truth(cfg.truth, op)
+    op = build_operator(cfg.operator)
+    x_true = build_truth(cfg.truth, op)
     y_exact = op.apply(x_true)
     make_kind = Tikhonov if cfg.solver["filter"] == "tikhonov" else Tsvd
 
@@ -295,17 +263,6 @@ def _filter_study(cfg: ExperimentConfig):
 
 
 # -- autoconvolution study ----------------------------------------------------
-
-
-def _two_bump_truth(m: int, amplitude: float) -> np.ndarray:
-    # two piecewise-constant bumps on dyadic intervals over a positive base
-    # level: exactly sparse in Haar, and bounded away from zero at s = 0 so
-    # the triangular structure of the autoconvolution stays well-posed there
-    t = (np.arange(m) + 0.5) / m
-    x = np.full(m, amplitude)
-    x[(t >= 0.125) & (t < 0.375)] += 0.5 * amplitude
-    x[(t >= 0.625) & (t < 0.875)] += 0.25 * amplitude
-    return x
 
 
 def _constant_fit_init(grid: AutoconvGrid, y: np.ndarray) -> np.ndarray:
@@ -437,7 +394,7 @@ _BLOCK_DOUBLES = 4096
 def _autoconv_study(cfg: ExperimentConfig):
     m = cfg.operator["size"]
     grid = AutoconvGrid(m)
-    x_true = _build_truth(cfg.truth, SvdOperator.diagonal(np.ones(m)))
+    x_true = build_truth(cfg.truth, build_operator(cfg.operator))
     y_exact = autoconv_apply(grid, x_true)
     haar = _haar_matrix(m)
 
@@ -558,10 +515,10 @@ def _landweber_stop_index(q2: np.ndarray, y_sq: np.ndarray, threshold: float, km
 
 
 def _nu_random_study(cfg: ExperimentConfig):
-    op = _build_operator(cfg.operator)
+    op = build_operator(cfg.operator)
     sigma = op.singular_values
     m = sigma.size
-    v = _powerlaw_vector(m, cfg.truth["power"], cfg.truth["norm"])
+    v = build_truth(cfg.truth, op)  # the source vector; nu is drawn per trial
     gamma = cfg.solver["gamma"]
     if gamma is None:
         gamma = 0.9 / float(sigma[0] ** 2)

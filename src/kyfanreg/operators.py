@@ -355,14 +355,14 @@ class BesovWeights:
 def besov_weights(s: float, p: float, d: int, levels: int) -> BesovWeights:
     """Weights for all 2^levels Haar coefficients, grouped by level."""
     if not (1.0 <= p <= 2.0):
-        raise ValueError(f"p must lie in [1, 2], got {p!r}")
+        raise ValueError(f"p: must lie in [1, 2], got {p!r}")
     if not (isinstance(d, (int, np.integer)) and d >= 1):
-        raise ValueError(f"d must be a positive integer, got {d!r}")
+        raise ValueError(f"d: must be a positive integer, got {d!r}")
     if not (isinstance(levels, (int, np.integer)) and levels >= 1):
-        raise ValueError(f"levels must be a positive integer, got {levels!r}")
+        raise ValueError(f"levels: must be a positive integer, got {levels!r}")
     zeta = s - d * (0.5 - 1.0 / p)
     if not (zeta > 0.0):
-        raise ValueError(f"smoothness too low: zeta = s - d(1/2 - 1/p) = {zeta} <= 0")
+        raise ValueError(f"s: smoothness too low: zeta = s - d(1/2 - 1/p) = {zeta!r} <= 0")
     lev = haar_level_indices(2**levels)
     w = 2.0 ** (zeta * p * lev)
     return BesovWeights(s=float(s), p=float(p), d=int(d), levels=int(levels), zeta=zeta, weights=w)

@@ -195,6 +195,25 @@ class TestRunCommands:
         captured = capsys.readouterr()
         assert "config.solver.kmax" in captured.err and captured.out == ""
 
+    def test_autoconv_size_not_power_of_two_is_config_error(self, tmp_path, capsys):
+        raw = dict(small_autoconv_config(), operator={"kind": "autoconv", "size": 100})
+        cfg = write_config(tmp_path / "a.yaml", raw)
+        assert main(["run", "autoconv", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config.operator" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("error", [ValueError("singular matrix"),
+                                       FloatingPointError("overflow")])
+    def test_error_inside_a_run_is_numerical_failure(self, tmp_path, capsys, monkeypatch, error):
+        def fail(cfg):
+            raise error
+
+        monkeypatch.setattr("kyfanreg.cli.run_study", fail)
+        cfg = write_config(tmp_path / "f.yaml", small_filter_config())
+        assert main(["run", "filter-study", "--config", cfg]) == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.err == f"numerical failure: {error}\n" and captured.out == ""
+
     def test_autoconv_csv_shape(self, tmp_path, capsys):
         raw = {
             "schema_version": 1,

@@ -1,9 +1,12 @@
 import math
 import os
+import re
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
@@ -178,29 +181,6 @@ class TestFilterStudy:
         assert res1.trials == res2.trials
         assert res1.summaries == res2.summaries
 
-    def test_blocks_match_one_trial_at_a_time(self, monkeypatch):
-        cfg = parse_config({
-            "schema_version": 1, "study": "autoconv", "seed": 5,
-            "eta_grid": [1e-1, 1e-2], "trials_per_eta": 30,
-            "noise_level": {"mode": "inflated-expectation", "tau": {"kind": "log-inflating"}},
-            "caps": {"norm": 100.0, "sup": 100.0},
-            "operator": {"kind": "autoconv", "size": 32},
-            "truth": {"kind": "two-bump", "amplitude": 0.31},
-            "rule": {"kind": "discrepancy", "tau1": 1.1, "tau2": 1.3},
-        })
-        together = run_study(cfg)  # one block holds all 30 trials at m = 32
-        monkeypatch.setattr(harness, "_BLOCK_DOUBLES", 32)  # one trial per block
-        alone = run_study(cfg)
-        # trivial, flagged and in-band trials all occur, and one-trial blocks
-        # of trivial data solve nothing
-        assert any(math.isinf(t.alpha_or_kstar) for t in together.trials)
-        assert any(t.flagged for t in together.trials)
-        assert any(not t.flagged for t in together.trials)
-        for a, b in zip(together.trials, alone.trials):
-            assert (a.eta, a.trial, a.flagged, a.truncated) == (b.eta, b.trial, b.flagged, b.truncated)
-            for field in ("alpha_or_kstar", "error", "error_truncated", "residual"):
-                assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9)
-
     def test_csv_determinism(self, tmp_path):
         cfg = filter_config(trials_per_eta=30, eta_grid=[0.1, 0.01])
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -274,6 +254,29 @@ class TestAutoconvStudy:
         res1, res2 = run_study(cfg), run_study(cfg)
         assert res1.trials == res2.trials
         assert res1.summaries == res2.summaries
+
+    def test_blocks_match_one_trial_at_a_time(self, monkeypatch):
+        cfg = parse_config({
+            "schema_version": 1, "study": "autoconv", "seed": 5,
+            "eta_grid": [1e-1, 1e-2], "trials_per_eta": 30,
+            "noise_level": {"mode": "inflated-expectation", "tau": {"kind": "log-inflating"}},
+            "caps": {"norm": 100.0, "sup": 100.0},
+            "operator": {"kind": "autoconv", "size": 32},
+            "truth": {"kind": "two-bump", "amplitude": 0.31},
+            "rule": {"kind": "discrepancy", "tau1": 1.1, "tau2": 1.3},
+        })
+        together = run_study(cfg)  # one block holds all 30 trials at m = 32
+        monkeypatch.setattr(harness, "_BLOCK_DOUBLES", 32)  # one trial per block
+        alone = run_study(cfg)
+        # trivial, flagged and in-band trials all occur, and one-trial blocks
+        # of trivial data solve nothing
+        assert any(math.isinf(t.alpha_or_kstar) for t in together.trials)
+        assert any(t.flagged for t in together.trials)
+        assert any(not t.flagged for t in together.trials)
+        for a, b in zip(together.trials, alone.trials):
+            assert (a.eta, a.trial, a.flagged, a.truncated) == (b.eta, b.trial, b.flagged, b.truncated)
+            for field in ("alpha_or_kstar", "error", "error_truncated", "residual"):
+                assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9)
 
 
 class TestBesovStudy:
@@ -439,6 +442,19 @@ class TestConfigValidation:
         ("besov", "solver", {"d": 1.5}, "config.solver.d: expected an integer"),
         ("nu-random", "truth", {"kind": "explicit", "values": [1.0]},
          "not usable in the nu-random study"),
+        # operator and truth specs are checked by building them
+        ("filter", "operator", {"kind": "diagonal-powerlaw", "size": 0, "decay": 1.0},
+         "config.operator: singular_values must be a non-empty"),
+        ("autoconv", "operator", {"kind": "autoconv", "size": 0},
+         "config.operator: length must be a power of two"),
+        ("autoconv", "operator", {"kind": "autoconv", "size": 100},
+         "config.operator: length must be a power of two"),
+        ("besov", "operator", {"kind": "haar-diagonal", "levels": 0, "decay": 1.0},
+         "config.operator.levels: must be a positive integer"),
+        ("filter", "truth", {"kind": "explicit", "values": [1.0, 0.0]},
+         "config.truth: explicit truth has 2 values, but the solution length is 200"),
+        # the discrepancy rule solves by Tikhonov whatever the filter
+        ("filter", "solver", {"filter": "tsvd"}, "config.solver.filter: tsvd cannot be used"),
     ])
     def test_study_mismatch_fails_at_parse(self, study, key, value, match):
         raw = dict(STUDY_CONFIGS[study], **{key: value})
@@ -497,6 +513,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             filter_config(noise_level={"mode": "inflated-expectation",
                                        "tau": {"kind": "constant", "value": 0.9}})
+
+    def test_readme_configs_parse(self):
+        # every YAML block in the README is a config the parser accepts
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```yaml\n(.*?)^```", readme, flags=re.M | re.S)
+        assert blocks
+        for block in blocks:
+            parse_config(yaml.safe_load(block))
 
 
 # One small config per study; the summaries below were computed by the
