@@ -30,12 +30,10 @@ from .noise import (
     LogInflatingTau,
     NoiseSpec,
     delta_eff,
-    distance_to_set_kyfan,
     empirical_kyfan,
     expected_norm,
     expected_norm_upper,
     kyfan_bound_gaussian,
-    kyfan_bound_moment,
     sample_noise,
     tail_prob_tau,
     tau_schedule,
@@ -63,7 +61,6 @@ from .regularization import (
     Tsvd,
     filter_reconstruct,
     filter_value,
-    landweber_nonlinear,
     operator_norm_squared,
     prox_gradient_solve,
     prox_weighted_lp,
@@ -78,7 +75,6 @@ from .rules import (
     Fixed,
     NoBracket,
     NoFeasibleAlpha,
-    NotReached,
     NuEstimate,
     RatePrediction,
     TikhonovRateModel,
@@ -86,7 +82,6 @@ from .rules import (
     besov_balance_alpha,
     combined_model,
     discrepancy_alpha,
-    discrepancy_stop_index,
     heavy_tail_model,
     nu_effective,
     tikhonov_rate_predict,

@@ -122,14 +122,15 @@ def _cmd_kyfan(args) -> int:
         print(f"empirical_kyfan = {empirical_kyfan(sample):.17g}")
         return EXIT_OK
     if args.subcommand == "tail":
-        prob = tail_prob_tau(args.tau, args.m)
-        print(f"tail_prob = {prob:.17g}")
+        # print only once every line is computed: a bad seed leaves stdout empty
+        lines = [f"tail_prob = {tail_prob_tau(args.tau, args.m):.17g}"]
         if args.check_mc > 0:
             spec = NoiseSpec(eta=1.0, m=args.m)
             noise = sample_noise(spec, args.seed, args.check_mc)
             norms = np.linalg.norm(noise, axis=1)
             freq = float(np.mean(norms >= args.tau * expected_norm(spec)))
-            print(f"mc_frequency = {freq:.17g}  (N = {args.check_mc})")
+            lines.append(f"mc_frequency = {freq:.17g}  (N = {args.check_mc})")
+        print("\n".join(lines))
         return EXIT_OK
     raise AssertionError(args.subcommand)
 

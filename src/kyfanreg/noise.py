@@ -2,10 +2,10 @@
 
 The noise is epsilon ~ N(0, eta^2 I_m) on R^m.  This module provides the
 sampler, the closed-form expectation of ||epsilon||_2 and its eta*sqrt(m)
-upper bound, the analytic Ky Fan bound for Gaussian noise, moment-based and
-empirical Ky Fan estimates, tail probabilities of ||epsilon|| against an
-inflated expectation, tau(eta) inflation schedules, and the effective noise
-level fed to deterministic parameter-choice rules.
+upper bound, the analytic Ky Fan bound for Gaussian noise, the empirical
+Ky Fan estimate, tail probabilities of ||epsilon|| against an inflated
+expectation, tau(eta) inflation schedules, and the effective noise level
+fed to deterministic parameter-choice rules.
 
 Reproducibility
 ---------------
@@ -36,13 +36,11 @@ __all__ = [
     "expected_norm",
     "expected_norm_upper",
     "kyfan_bound_gaussian",
-    "kyfan_bound_moment",
     "tail_prob_tau",
     "empirical_kyfan",
     "tau_schedule",
     "delta_eff",
     "truncate_solution",
-    "distance_to_set_kyfan",
 ]
 
 @dataclass(frozen=True)
@@ -165,15 +163,6 @@ def kyfan_bound_gaussian(spec: NoiseSpec) -> float:
     return min(1.0, math.sqrt(2.0) * spec.eta * math.sqrt(inner))
 
 
-def kyfan_bound_moment(moment: float, s: int) -> float:
-    """Moment bound (E d^s)^(1/(s+1)) on the Ky Fan distance."""
-    if not (isinstance(s, (int, np.integer)) and s >= 1):
-        raise ValueError(f"s must be a positive integer, got {s!r}")
-    if not (moment >= 0.0):
-        raise ValueError(f"moment must be nonnegative, got {moment!r}")
-    return moment ** (1.0 / (s + 1.0))
-
-
 def tail_prob_tau(tau: float, m: int) -> float:
     """P(||epsilon||_2 >= tau * E||epsilon||_2); independent of eta.
 
@@ -189,10 +178,18 @@ def tail_prob_tau(tau: float, m: int) -> float:
     return reg_gamma_q(m / 2.0, z)
 
 
-def _kyfan_estimate(values: np.ndarray) -> float:
+def empirical_kyfan(sample: EmpiricalSample) -> float:
+    """Exact empirical plug-in Ky Fan estimate by a single sorted scan.
+
+    Uses the strict inequality d > eps and resolves the infimum exactly at
+    the sorted sample values (the empirical tail is evaluated from the
+    right at ties).
+    """
+    if not isinstance(sample, EmpiricalSample):
+        sample = EmpiricalSample.from_values(sample)
     # exact infimum of {eps > 0 : #(d > eps)/n < eps} on the empirical law
-    n = values.size
-    vals, counts = np.unique(values, return_counts=True)
+    n = sample.count
+    vals, counts = np.unique(sample.distances, return_counts=True)
     exceed = (n - np.cumsum(counts)) / n  # step value of P(d > eps) on [v_j, v_{j+1})
     if vals[0] > 0.0:
         left = np.concatenate(([0.0], vals))
@@ -205,18 +202,6 @@ def _kyfan_estimate(values: np.ndarray) -> float:
     feasible = step < right
     j = int(np.argmax(feasible))  # first feasible interval gives the infimum
     return float(max(left[j], step[j]))
-
-
-def empirical_kyfan(sample: EmpiricalSample) -> float:
-    """Exact empirical plug-in Ky Fan estimate by a single sorted scan.
-
-    Uses the strict inequality d > eps and resolves the infimum exactly at
-    the sorted sample values (the empirical tail is evaluated from the
-    right at ties).
-    """
-    if not isinstance(sample, EmpiricalSample):
-        sample = EmpiricalSample.from_values(sample)
-    return _kyfan_estimate(sample.distances)
 
 
 def tau_schedule(spec: NoiseSpec, kind: ConstantTau | LogInflatingTau) -> float:
@@ -251,20 +236,3 @@ def truncate_solution(x: np.ndarray, norm_cap: float, sup_cap: float) -> np.ndar
     if np.linalg.norm(x) <= norm_cap and (x.size == 0 or np.max(np.abs(x)) <= sup_cap):
         return x
     return np.zeros_like(x)
-
-
-def distance_to_set_kyfan(per_trial_vectors, solution_set) -> float:
-    """Empirical Ky Fan distance to a solution set.
-
-    For each trial takes the minimum Euclidean distance over the set, then
-    applies the empirical Ky Fan estimator; zero iff every trial lands in
-    the set.
-    """
-    members = [np.asarray(s, dtype=float) for s in solution_set]
-    if not members:
-        raise ValueError("solution set must be non-empty")
-    dists = np.empty(len(per_trial_vectors))
-    for i, x in enumerate(per_trial_vectors):
-        x = np.asarray(x, dtype=float)
-        dists[i] = min(np.linalg.norm(x - s) for s in members)
-    return _kyfan_estimate(dists)

@@ -50,7 +50,7 @@ def _as_vector(x, n: int, what: str) -> np.ndarray:
 class SvdOperator:
     """Compact linear operator given by its singular system.
 
-    ``singular_values`` must be non-increasing and nonnegative.  When
+    ``singular_values`` must be finite, non-increasing and nonnegative.  When
     ``left_basis``/``right_basis`` are None the operator is diagonal (both
     bases are the identity); otherwise they are column-orthonormal matrices
     whose columns are u_n (data side, m x r) and v_n (solution side, n x r).
@@ -64,6 +64,8 @@ class SvdOperator:
         s = np.asarray(self.singular_values, dtype=float)
         if s.ndim != 1 or s.size == 0:
             raise ValueError("singular_values must be a non-empty 1-d array")
+        if not np.all(np.isfinite(s)):
+            raise ValueError("singular values must be finite")
         if np.any(s < 0):
             raise ValueError("singular values must be nonnegative")
         if np.any(np.diff(s) > 1e-12 * max(1.0, s[0])):

@@ -1,6 +1,6 @@
-"""Solvers: spectral filter reconstructions, nonlinear Landweber iteration,
-and accelerated proximal-gradient (FISTA) minimization of Tikhonov-type
-functionals with weighted lp penalties.
+"""Solvers: spectral filter reconstructions and accelerated
+proximal-gradient (FISTA) minimization of Tikhonov-type functionals with
+weighted lp penalties.
 
 Conventions
 -----------
@@ -29,7 +29,6 @@ __all__ = [
     "NonConvergence",
     "filter_value",
     "filter_reconstruct",
-    "landweber_nonlinear",
     "soft_threshold",
     "prox_weighted_lp",
     "prox_gradient_solve",
@@ -131,54 +130,6 @@ def filter_reconstruct(op, y, kind) -> np.ndarray:
     pos = s > 0.0
     out[pos] = filter_value(kind, s[pos]) / s[pos] * c[pos]
     return op.from_solution_coeffs(out)
-
-
-def landweber_nonlinear(
-    forward,
-    derivative_adjoint_residual,
-    y,
-    x0,
-    gamma: float,
-    tau_hat: float,
-    delta_eff: float,
-    max_iter: int = 10000,
-) -> SolveReport:
-    """Landweber iteration x <- x - gamma F'(x)*(F(x) - y), stopped by discrepancy.
-
-    Stops at the first index k* with ||F(x_k) - y|| <= tau_hat * delta_eff
-    (k* = 0 when the initial guess already satisfies it).  The residual
-    history is returned in ``objective_trace``.  Raises
-    :class:`NonConvergence` with the final state if the budget runs out.
-    """
-    if not (tau_hat > 2.0):
-        raise ValueError(f"tau_hat must exceed 2, got {tau_hat!r}")
-    if not (delta_eff > 0.0):
-        raise ValueError(f"delta_eff must be positive, got {delta_eff!r}")
-    if not (gamma > 0.0):
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
-    x = np.asarray(x0, dtype=float).copy()
-    y = np.asarray(y, dtype=float)
-    threshold = tau_hat * delta_eff
-    trace = []
-    for k in range(max_iter + 1):
-        r = forward(x) - y
-        res = float(np.linalg.norm(r))
-        trace.append(res)
-        if res <= threshold:
-            return SolveReport(
-                solution=x, iterations=k, final_residual=res, objective_trace=tuple(trace)
-            )
-        if k == max_iter:
-            break
-        x = x - gamma * derivative_adjoint_residual(x, r)
-    report = SolveReport(
-        solution=x, iterations=max_iter, final_residual=trace[-1], objective_trace=tuple(trace)
-    )
-    raise NonConvergence(
-        f"discrepancy level {threshold:.3g} not reached in {max_iter} iterations "
-        f"(residual {trace[-1]:.3g})",
-        report,
-    )
 
 
 def soft_threshold(v, t):

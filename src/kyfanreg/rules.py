@@ -2,10 +2,12 @@
 
 Contains the a priori filter rule alpha = C (delta/rho)^(1/(beta(nu+1))),
 the discrepancy principle for continuous alpha (Tikhonov filter, bisection
-on the monotone residual) and for iteration stopping, the balancing
-equation for weighted-lp (Besov) penalties, the inf-max stochastic Tikhonov
-rate predictor, and the effective smoothness exponent solved from
-rho^(2 nu / (2 nu + 1)) = 2 nu together with its Lambert-W approximation.
+on the monotone residual), the balancing equation for weighted-lp (Besov)
+penalties, the inf-max stochastic Tikhonov rate predictor, and the
+effective smoothness exponent solved from rho^(2 nu / (2 nu + 1)) = 2 nu
+together with its Lambert-W approximation.  Iteration stopping by the
+discrepancy principle is the nu-random study's Landweber stop search,
+``harness._landweber_stop_index``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = [
     "Fixed",
     "DiscrepancyResult",
     "NoFeasibleAlpha",
-    "NotReached",
     "NoBracket",
     "BesovBalanceParams",
     "BesovBalanceResult",
@@ -36,7 +37,6 @@ __all__ = [
     "NuEstimate",
     "apriori_filter_alpha",
     "discrepancy_alpha",
-    "discrepancy_stop_index",
     "besov_balance_alpha",
     "tikhonov_rate_predict",
     "uniform_source_model",
@@ -105,10 +105,6 @@ class Fixed:
 
 class NoFeasibleAlpha(RuntimeError):
     """No alpha can place the residual inside the discrepancy band."""
-
-
-class NotReached(RuntimeError):
-    """No iteration index satisfies the stopping criterion."""
 
 
 class NoBracket(RuntimeError):
@@ -214,20 +210,6 @@ def discrepancy_alpha(op, y, delta_eff: float, rule: Discrepancy) -> Discrepancy
     final_res = float(np.linalg.norm(op.apply(solution) - y))
     report = SolveReport(solution=solution, iterations=evals, final_residual=final_res)
     return DiscrepancyResult(alpha=alpha, report=report)
-
-
-def discrepancy_stop_index(residuals, tau_hat: float, delta_eff: float) -> int:
-    """Smallest index k with residuals[k] <= tau_hat * delta_eff."""
-    res = np.asarray(residuals, dtype=float)
-    if res.size == 0:
-        raise ValueError("residuals must be non-empty")
-    hits = np.nonzero(res <= tau_hat * delta_eff)[0]
-    if hits.size == 0:
-        raise NotReached(
-            f"no residual reaches tau_hat*delta_eff = {tau_hat * delta_eff:.6g} "
-            f"(minimum {res.min():.6g})"
-        )
-    return int(hits[0])
 
 
 # -- balancing rule for the weighted-lp penalty ------------------------------
@@ -391,7 +373,7 @@ def tikhonov_rate_predict(
     Evaluates max{rho_K + phi_cl(xi) + phi_de(tau),
     c (rho_K + alpha tau) / (sqrt(alpha) sqrt(1 - xi))} on the grid and
     returns the minimum with its minimizing (xi, tau); ties resolve to the
-    smallest flat grid index so concurrent evaluation stays deterministic.
+    smallest flat grid index.
     """
     if not (0.0 < rho_k <= 1.0):
         raise ValueError(f"rho_k must lie in (0, 1], got {rho_k!r}")

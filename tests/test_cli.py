@@ -95,6 +95,14 @@ class TestKyfanCommands:
         assert code == EXIT_CONFIG
         assert "seed" in capsys.readouterr().err
 
+    def test_tail_bad_seed_prints_nothing(self, capsys):
+        code = main(["kyfan", "tail", "--tau", "1.5", "--m", "4",
+                     "--check-mc", "10", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert "seed" in captured.err
+
 
 class TestRunCommands:
     def test_filter_study_to_csv(self, tmp_path, capsys):

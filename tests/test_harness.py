@@ -345,6 +345,9 @@ class TestLandweberStopIndex:
     # which a search over powers of two alone misses when kmax = 3
     @example([(0.25, 1.0)], math.sqrt(0.03), 3)
     @example([(0.25, 1.0)], math.sqrt(0.03), 2)
+    # the start already meets the threshold, and a threshold never reached
+    @example([(0.5, 1.0)], 2.0, 4)
+    @example([(0.99, 10.0)], 1e-3, 3)
     @given(
         st.lists(st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 10.0)), min_size=1, max_size=5),
         st.floats(1e-3, 10.0),
@@ -455,6 +458,10 @@ class TestConfigValidation:
          "config.truth: explicit truth has 2 values, but the solution length is 200"),
         # the discrepancy rule solves by Tikhonov whatever the filter
         ("filter", "solver", {"filter": "tsvd"}, "config.solver.filter: tsvd cannot be used"),
+        ("nu-random", "operator", {"kind": "diagonal", "singular_values": [math.inf, 1.0]},
+         "config.operator: singular values must be finite"),
+        ("nu-random", "operator", {"kind": "diagonal", "singular_values": [math.nan]},
+         "config.operator: singular values must be finite"),
     ])
     def test_study_mismatch_fails_at_parse(self, study, key, value, match):
         raw = dict(STUDY_CONFIGS[study], **{key: value})

@@ -14,12 +14,10 @@ from kyfanreg.noise import (
     LogInflatingTau,
     NoiseSpec,
     delta_eff,
-    distance_to_set_kyfan,
     empirical_kyfan,
     expected_norm,
     expected_norm_upper,
     kyfan_bound_gaussian,
-    kyfan_bound_moment,
     sample_noise,
     tail_prob_tau,
     tau_schedule,
@@ -144,24 +142,6 @@ class TestKyFanBoundGaussian:
                     m - min(gaussian_log_term(eta, m), 0.0)
                 )
                 assert expected_norm_upper(NoiseSpec(eta, m)) <= uncapped + 1e-15
-
-
-class TestMomentBound:
-    def test_zero(self):
-        assert kyfan_bound_moment(0.0, 1) == 0.0
-
-    def test_powers(self):
-        assert kyfan_bound_moment(0.04, 1) == pytest.approx(0.2, rel=1e-12)
-        assert kyfan_bound_moment(0.008, 2) == pytest.approx(0.2, rel=1e-12)
-
-    def test_bounds_gaussian_kyfan(self):
-        # moment bound with the exact second moment dominates the empirical estimate
-        spec = NoiseSpec(0.05, 8)
-        second_moment = spec.eta**2 * spec.m
-        bound = kyfan_bound_moment(second_moment, 2)
-        noise = sample_noise(spec, seed=3, trials=20_000)
-        est = empirical_kyfan(EmpiricalSample.from_values(np.linalg.norm(noise, axis=1)))
-        assert est <= bound + 0.01
 
 
 class TestTailProb:
@@ -312,36 +292,3 @@ class TestTruncation:
     def test_within_caps_identity(self):
         x = np.array([0.3, -0.4])
         assert np.array_equal(truncate_solution(x, 1.0, 0.5), x)
-
-
-class TestDistanceToSet:
-    def test_members_give_zero(self):
-        a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        assert distance_to_set_kyfan([a, b, a], [a, b]) == 0.0
-
-    def test_singleton_reduces_to_plain(self):
-        rng = np.random.default_rng(2)
-        target = rng.standard_normal(3)
-        vecs = [target + rng.standard_normal(3) * 0.1 for _ in range(50)]
-        dists = [np.linalg.norm(v - target) for v in vecs]
-        assert distance_to_set_kyfan(vecs, [target]) == pytest.approx(
-            empirical_kyfan(EmpiricalSample.from_values(dists))
-        )
-
-    def test_two_member_set(self):
-        a, b = np.array([0.0, 0.0]), np.array([10.0, 0.0])
-        rng = np.random.default_rng(3)
-        vecs = []
-        for i in range(40):
-            base = a if i % 2 == 0 else b
-            offset = rng.uniform(-0.1, 0.1, 2)
-            vecs.append(base + offset * [1.0, 0.0])
-        est = distance_to_set_kyfan(vecs, [a, b])
-        assert est <= 0.1 + 1e-12
-        # distance to either fixed member alone stays large on half the trials
-        plain = [np.linalg.norm(v - a) for v in vecs]
-        assert max(plain) > 9.0
-
-    def test_empty_set_rejected(self):
-        with pytest.raises(ValueError):
-            distance_to_set_kyfan([np.zeros(2)], [])

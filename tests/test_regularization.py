@@ -19,7 +19,6 @@ from kyfanreg.regularization import (
     Tsvd,
     filter_reconstruct,
     filter_value,
-    landweber_nonlinear,
     operator_norm_squared,
     prox_gradient_solve,
     prox_weighted_lp,
@@ -521,81 +520,6 @@ class TestAcceleratedProxGradient:
         )
         trace = np.asarray(report.objective_trace)
         assert np.all(np.diff(trace) <= 1e-12 * trace[0])
-
-
-class TestLandweberNonlinear:
-    grid = AutoconvGrid(64)
-
-    def _forward(self, x):
-        return autoconv_apply(self.grid, x)
-
-    def _adjoint(self, x, r):
-        return autoconv_derivative_adjoint_apply(self.grid, x, r)
-
-    def _bump(self):
-        t = (np.arange(64) + 0.5) / 64.0
-        return 1.0 + np.exp(-0.5 * ((t - 0.4) / 0.12) ** 2)
-
-    def test_exact_data_stops_immediately(self):
-        x0 = self._bump()
-        y = self._forward(x0)
-        report = landweber_nonlinear(
-            self._forward, self._adjoint, y, x0, gamma=0.1, tau_hat=2.5,
-            delta_eff=1e-8, max_iter=50,
-        )
-        assert report.iterations == 0
-        assert report.final_residual == 0.0
-
-    def test_huge_delta_stops_immediately(self):
-        x_true = self._bump()
-        y = self._forward(x_true)
-        x0 = np.zeros(64)
-        delta = np.linalg.norm(y) / 2.5 + 1.0
-        report = landweber_nonlinear(
-            self._forward, self._adjoint, y, x0, gamma=0.1, tau_hat=2.5,
-            delta_eff=delta, max_iter=50,
-        )
-        assert report.iterations == 0
-
-    def test_monotone_residuals_until_stop(self):
-        x_true = self._bump()
-        y_exact = self._forward(x_true)
-        noise_rng = np.random.default_rng(0)
-        noise = noise_rng.standard_normal(64)
-        noise *= 0.01 * np.linalg.norm(y_exact) / np.linalg.norm(noise)
-        y = y_exact + noise
-        x0 = np.full(64, 1.2)
-        norm_sq = operator_norm_squared(
-            lambda v: 2.0 * self.grid.h * np.convolve(x0, v)[:64],
-            lambda r: self._adjoint(x0, r),
-            64,
-        )
-        report = landweber_nonlinear(
-            self._forward, self._adjoint, y, x0, gamma=0.9 / norm_sq, tau_hat=2.2,
-            delta_eff=np.linalg.norm(noise) / 2.0, max_iter=20_000,
-        )
-        trace = np.asarray(report.objective_trace)
-        assert np.all(np.diff(trace) <= 1e-10)
-        assert report.iterations > 0
-        # first-crossing property: the previous residual was above threshold
-        assert trace[-2] > 2.2 * np.linalg.norm(noise) / 2.0
-
-    def test_nonconvergence_reported(self):
-        x_true = self._bump()
-        y = self._forward(x_true)
-        with pytest.raises(NonConvergence) as info:
-            landweber_nonlinear(
-                self._forward, self._adjoint, y, np.zeros(64), gamma=0.05,
-                tau_hat=2.5, delta_eff=1e-12, max_iter=3,
-            )
-        assert len(info.value.report.objective_trace) == 4
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            landweber_nonlinear(
-                self._forward, self._adjoint, np.zeros(64), np.zeros(64),
-                gamma=0.1, tau_hat=2.0, delta_eff=0.1,
-            )
 
 
 class TestOperatorNormSquared:

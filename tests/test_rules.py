@@ -14,13 +14,11 @@ from kyfanreg.rules import (
     Fixed,
     NoBracket,
     NoFeasibleAlpha,
-    NotReached,
     TikhonovRateModel,
     apriori_filter_alpha,
     besov_balance_alpha,
     combined_model,
     discrepancy_alpha,
-    discrepancy_stop_index,
     heavy_tail_model,
     nu_effective,
     tikhonov_rate_predict,
@@ -138,18 +136,6 @@ class TestDiscrepancyAlpha:
                 for a in alphas
             ]
             assert np.all(np.diff(res) >= -1e-12)
-
-
-class TestDiscrepancyStopIndex:
-    def test_first_entry(self):
-        assert discrepancy_stop_index([0.5], 2.4, 0.25) == 0
-
-    def test_first_crossing(self):
-        assert discrepancy_stop_index([3.0, 2.0, 1.0, 0.5], 2.5, 0.4) == 2
-
-    def test_not_reached(self):
-        with pytest.raises(NotReached):
-            discrepancy_stop_index([3.0, 2.0, 0.5], 2.1, 0.05)
 
 
 class TestBesovBalance:
