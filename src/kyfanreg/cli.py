@@ -122,6 +122,8 @@ def _cmd_kyfan(args) -> int:
         print(f"empirical_kyfan = {empirical_kyfan(sample):.17g}")
         return EXIT_OK
     if args.subcommand == "tail":
+        if args.check_mc < 0:
+            raise ConfigError(f"--check-mc must be a nonnegative count, got {args.check_mc}")
         # print only once every line is computed: a bad seed leaves stdout empty
         lines = [f"tail_prob = {tail_prob_tau(args.tau, args.m):.17g}"]
         if args.check_mc > 0:

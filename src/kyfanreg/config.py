@@ -2,7 +2,8 @@
 
 Configs are YAML mappings with a mandatory ``schema_version``.  Unknown keys
 anywhere are hard errors: a silently ignored typo can corrupt a whole Monte
-Carlo study.  The same validator runs on in-memory dicts, so programmatic
+Carlo study.  Every number must be finite, so YAML's ``.inf`` and ``.nan``
+are rejected.  The same validator runs on in-memory dicts, so programmatic
 and file-based configs share one code path.
 
 Top-level keys
@@ -19,9 +20,9 @@ caps           : {norm: R, sup: S} truncation caps for expectation summaries
 operator       : study-dependent operator spec (see below)
 truth          : study-dependent ground-truth spec
 rule           : parameter-choice rule spec
-solver         : optional study-specific solver knobs (see _STUDY_SPECS);
-                 integer knobs must be at least 1, and besov needs p in
-                 [1, 2] and zeta = s - d(1/2 - 1/p) > 0
+solver         : optional study-specific keys (see _STUDY_SPECS; autoconv
+                 takes none); integer keys must be at least 1, and besov
+                 needs p in [1, 2] and zeta = s - d(1/2 - 1/p) > 0
 
 Operator specs: {kind: diagonal, singular_values: [...]} (non-increasing),
 {kind: diagonal-powerlaw, size: n, decay: q} for sigma_k = k^-q,
@@ -55,6 +56,7 @@ a study only for numerical reasons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,6 +161,8 @@ def _coerce(value, kind, where: str):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where}: expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: expected a finite number, got {value!r}")
         return float(value)
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -243,14 +247,7 @@ _STUDY_SPECS = {
         "operator": ("autoconv",),
         "truth": ("two-bump", "explicit", "source-powerlaw"),
         "rule": ("discrepancy",),
-        "solver": {
-            "tol": (float, 1e-6),
-            "max_iter": (int, 800),
-            "max_budget": (int, 6400),
-            "total_budget": (int, 20000),
-            "max_alpha_steps": (int, 40),
-            "step_safety": (float, 0.9),
-        },
+        "solver": {},
     },
     "besov": {
         "operator": ("haar-diagonal",),
@@ -262,8 +259,7 @@ _STUDY_SPECS = {
         "operator": _DIAGONAL_KINDS,
         "truth": ("random-source",),
         "rule": ("discrepancy-stop",),
-        # gamma None: the study uses 0.9 / sigma_1^2
-        "solver": {"gamma": (float, None), "kmax": (int, 10**7)},
+        "solver": {"kmax": (int, 10**7)},
     },
 }
 
@@ -327,18 +323,6 @@ def build_truth(spec: dict, op: SvdOperator) -> np.ndarray:
     z = np.arange(1, n + 1, dtype=float) ** spec["power"]
     z = z * (spec["norm"] / np.linalg.norm(z))  # z_k ~ k^power with ||z|| = norm
     return z if kind == "random-source" else op.source_element(spec["exponent"], z)
-
-
-def _check_landweber_step(gamma: float, op: SvdOperator) -> None:
-    # Landweber steps contract only for 0 < gamma * sigma_1^2 <= 1
-    if not gamma > 0.0:
-        raise ConfigError(f"config.solver.gamma: must be positive, got {gamma!r}")
-    sigma_1 = float(op.singular_values[0])
-    if gamma * sigma_1**2 > 1.0:
-        raise ConfigError(
-            f"config.solver.gamma: {gamma!r} violates the Landweber contraction bound "
-            f"gamma * sigma_1^2 <= 1 (sigma_1 = {sigma_1!r})"
-        )
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -407,8 +391,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
             "config.solver.filter: tsvd cannot be used with the discrepancy rule, "
             "which chooses alpha and solves by Tikhonov"
         )
-    if solver.get("gamma") is not None:
-        _check_landweber_step(solver["gamma"], op)
     if top["study"] == "besov":
         try:
             besov_weights(solver["s"], solver["p"], solver["d"], operator["levels"])

@@ -304,7 +304,7 @@ def _autoconv_solve(grid, haar, y_noisy, coeff_init, alpha, step, tol, max_iter)
         return exc.report
 
 
-def _alpha_continuation(grid, haar, y, lo_target, hi_target, knobs, seed):
+def _alpha_continuation(grid, haar, y, lo_target, hi_target, seed):
     """Search alpha with residual in [lo_target, hi_target] for each data row.
 
     Each row starts above its kill-everything alpha and moves geometrically
@@ -326,7 +326,7 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target, knobs, seed):
         lambda r: autoconv_derivative_adjoint_apply(grid, x0, r),
         m, iters=30, seed=seed, rows=rows,
     )
-    step = knobs["step_safety"] / np.maximum(lip, 1e-12)
+    step = _STEP_SAFETY / np.maximum(lip, 1e-12)
 
     # start above the kill-everything alpha (prox fixed point at the init
     # needs alpha >= 2 max|gradient|), then continue downward
@@ -338,16 +338,15 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target, knobs, seed):
     last_alpha = alpha.copy()
     residual = np.empty(rows)
     in_band = np.zeros(rows, dtype=bool)
-    budget = np.full(rows, knobs["max_iter"])
+    budget = np.full(rows, _MAX_ITER)
     spent = np.zeros(rows, dtype=int)
-    max_budget, total_budget = knobs["max_budget"], knobs["total_budget"]
     searching = np.arange(rows)
-    for _ in range(knobs["max_alpha_steps"]):
+    for _ in range(_MAX_ALPHA_STEPS):
         if not searching.size:
             break
         report = _autoconv_solve(
             grid, haar, y[searching], coeffs[searching], alpha[searching], step[searching],
-            knobs["tol"], budget[searching],
+            _TOL, budget[searching],
         )
         coeffs[searching] = report.solution
         residual[searching] = report.final_residual
@@ -359,7 +358,7 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target, knobs, seed):
         for i, ok in zip(searching, converged):
             res, a = residual[i], alpha[i]
             if res > hi_target:
-                if not ok and budget[i] < max_budget and spent[i] < total_budget:
+                if not ok and budget[i] < _MAX_BUDGET and spent[i] < _TOTAL_BUDGET:
                     # not yet converged and still above the band: the warm
                     # start keeps the progress, so retry with more budget
                     budget[i] *= 2
@@ -373,7 +372,7 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target, knobs, seed):
             else:
                 in_band[i] = True
                 continue
-            if spent[i] > total_budget:
+            if spent[i] > _TOTAL_BUDGET:
                 continue
             if alpha_hi[i] / alpha_lo[i] < 1.02:
                 # the residual jumps across the band on this branch: no
@@ -389,6 +388,16 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target, knobs, seed):
 # most this many doubles.  An autoconv solve keeps about twenty such arrays
 # alive; one 200-trial block per eta at m = 128 raised peak memory by 10%.
 _BLOCK_DOUBLES = 4096
+
+# The autoconv alpha search: a solve stops at step _TOL or after its budget,
+# _MAX_ITER doubling up to _MAX_BUDGET; a trial stops after _TOTAL_BUDGET
+# iterations or _MAX_ALPHA_STEPS alphas; steps are _STEP_SAFETY / Lipschitz.
+_TOL = 1e-6
+_MAX_ITER = 800
+_MAX_BUDGET = 6400
+_TOTAL_BUDGET = 20000
+_MAX_ALPHA_STEPS = 40
+_STEP_SAFETY = 0.9
 
 
 def _autoconv_study(cfg: ExperimentConfig):
@@ -406,7 +415,7 @@ def _autoconv_study(cfg: ExperimentConfig):
             # trivial data: the zero solution already satisfies the bound
             trivial = np.linalg.norm(y_noisy, axis=1) <= lo_target
             alphas, coeffs, residuals, in_band = _alpha_continuation(
-                grid, haar, y_noisy[~trivial], lo_target, hi_target, cfg.solver, cfg.seed,
+                grid, haar, y_noisy[~trivial], lo_target, hi_target, cfg.seed,
             )
             xs = coeffs @ haar
             solved_row = np.cumsum(~trivial) - 1  # each trial's row among the solved ones
@@ -519,9 +528,7 @@ def _nu_random_study(cfg: ExperimentConfig):
     sigma = op.singular_values
     m = sigma.size
     v = build_truth(cfg.truth, op)  # the source vector; nu is drawn per trial
-    gamma = cfg.solver["gamma"]
-    if gamma is None:
-        gamma = 0.9 / float(sigma[0] ** 2)
+    gamma = 0.9 / float(sigma[0] ** 2)  # a Landweber step that contracts
     kmax = cfg.solver["kmax"]
     q = 1.0 - gamma * sigma**2
     q2 = q * q
@@ -606,27 +613,17 @@ def _write_text(path, write) -> None:
             os.unlink(tmp)
 
 
-def export(summaries, path, fmt: str = "csv") -> None:
-    """Write per-eta summaries; numbers carry 17 significant digits.
+def export(summaries, path) -> None:
+    """Write per-eta summaries as CSV; numbers carry 17 significant digits.
 
-    ``path`` is a file path or an open text stream.  ``csv`` writes exactly
-    the documented columns with a header row; ``structured-text`` writes one
-    aligned key = value block per row.
+    ``path`` is a file path or an open text stream.  The CSV holds exactly
+    the documented columns, after a header row.
     """
-    if fmt not in ("csv", "structured-text"):
-        raise ValueError(f"unknown export format {fmt!r}")
 
     def write(handle):
-        if fmt == "csv":
-            handle.write(",".join(CSV_COLUMNS) + "\n")
-            for s in summaries:
-                handle.write(",".join(_format(getattr(s, c)) for c in CSV_COLUMNS) + "\n")
-        else:
-            width = max(len(c) for c in CSV_COLUMNS)
-            for s in summaries:
-                for name in CSV_COLUMNS:
-                    handle.write(f"{name.ljust(width)} = {_format(getattr(s, name))}\n")
-                handle.write("\n")
+        handle.write(",".join(CSV_COLUMNS) + "\n")
+        for s in summaries:
+            handle.write(",".join(_format(getattr(s, c)) for c in CSV_COLUMNS) + "\n")
 
     _write_text(path, write)
 

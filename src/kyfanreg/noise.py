@@ -62,7 +62,6 @@ class EmpiricalSample:
     """Realized distances d(X1, X2) across trials, for the plug-in estimator."""
 
     distances: np.ndarray
-    count: int
 
     def __post_init__(self):
         d = np.asarray(self.distances, dtype=float)
@@ -72,14 +71,12 @@ class EmpiricalSample:
             raise ValueError("distances must all be finite")
         if np.any(d < 0.0):
             raise ValueError("distances must all be nonnegative")
-        if self.count != d.size:
-            raise ValueError(f"count={self.count} does not match len(distances)={d.size}")
         object.__setattr__(self, "distances", d)
 
     @classmethod
     def from_values(cls, values) -> "EmpiricalSample":
         arr = np.asarray(values, dtype=float).ravel()
-        return cls(distances=arr, count=arr.size)
+        return cls(distances=arr)
 
 
 @dataclass(frozen=True)
@@ -188,7 +185,7 @@ def empirical_kyfan(sample: EmpiricalSample) -> float:
     if not isinstance(sample, EmpiricalSample):
         sample = EmpiricalSample.from_values(sample)
     # exact infimum of {eps > 0 : #(d > eps)/n < eps} on the empirical law
-    n = sample.count
+    n = sample.distances.size
     vals, counts = np.unique(sample.distances, return_counts=True)
     exceed = (n - np.cumsum(counts)) / n  # step value of P(d > eps) on [v_j, v_{j+1})
     if vals[0] > 0.0:

@@ -334,15 +334,13 @@ class TikhonovRateModel:
     ``phi_cl(xi)`` bounds the probability that the closedness product
     exceeds xi; ``phi_de(tau)`` bounds the probability that the source
     element norm exceeds tau.  Both must accept numpy arrays.  The
-    regularization parameter inside the bound scales as
-    ``alpha_scale * rho_K**alpha_exponent``.
+    regularization parameter inside the bound is ``rho_K**alpha_exponent``.
     """
 
     phi_cl: Callable
     phi_de: Callable
     rate_constant: float = 1.0
     alpha_exponent: float = 1.0
-    alpha_scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -352,23 +350,15 @@ class RatePrediction:
     tau: float
 
 
-def default_xi_grid(points: int = 200) -> np.ndarray:
-    # log-spaced in 1 - xi for resolution near xi -> 1
-    u = np.logspace(math.log10(1e-3), math.log10(1.0 - 1e-3), points)
-    return 1.0 - u
+# the inf-max search grids, read-only since each prediction hands them to the
+# model: xi log-spaced in 1 - xi to resolve xi -> 1, tau over [1e-3, 1e3]
+_XI_GRID = 1.0 - np.logspace(math.log10(1e-3), math.log10(1.0 - 1e-3), 200)
+_TAU_GRID = np.logspace(-3.0, 3.0, 200)
+_XI_GRID.flags.writeable = _TAU_GRID.flags.writeable = False
 
 
-def default_tau_grid(points: int = 200) -> np.ndarray:
-    return np.logspace(-3.0, 3.0, points)
-
-
-def tikhonov_rate_predict(
-    rho_k: float,
-    model: TikhonovRateModel,
-    xi_grid=None,
-    tau_grid=None,
-) -> RatePrediction:
-    """Exhaustive inf-max bound evaluation over the supplied grids.
+def tikhonov_rate_predict(rho_k: float, model: TikhonovRateModel) -> RatePrediction:
+    """Exhaustive inf-max bound evaluation over ``_XI_GRID`` x ``_TAU_GRID``.
 
     Evaluates max{rho_K + phi_cl(xi) + phi_de(tau),
     c (rho_K + alpha tau) / (sqrt(alpha) sqrt(1 - xi))} on the grid and
@@ -377,16 +367,8 @@ def tikhonov_rate_predict(
     """
     if not (0.0 < rho_k <= 1.0):
         raise ValueError(f"rho_k must lie in (0, 1], got {rho_k!r}")
-    xi = default_xi_grid() if xi_grid is None else np.asarray(xi_grid, dtype=float)
-    tau = default_tau_grid() if tau_grid is None else np.asarray(tau_grid, dtype=float)
-    if xi.size == 0 or tau.size == 0:
-        raise ValueError("grids must be non-empty")
-    if np.any(xi <= 0.0) or np.any(xi >= 1.0):
-        raise ValueError("xi grid must lie in (0, 1)")
-    if np.any(tau <= 0.0):
-        raise ValueError("tau grid must be positive")
-
-    alpha = model.alpha_scale * rho_k**model.alpha_exponent
+    xi, tau = _XI_GRID, _TAU_GRID
+    alpha = rho_k**model.alpha_exponent
     tail = rho_k + np.asarray(model.phi_cl(xi), dtype=float)[:, None] + np.asarray(
         model.phi_de(tau), dtype=float
     )[None, :]

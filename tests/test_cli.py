@@ -1,3 +1,5 @@
+import math
+
 import pytest
 import yaml
 
@@ -103,6 +105,13 @@ class TestKyfanCommands:
         assert captured.out == ""
         assert "seed" in captured.err
 
+    def test_tail_negative_mc_count_is_config_error(self, capsys):
+        code = main(["kyfan", "tail", "--tau", "1.5", "--m", "4", "--check-mc", "-3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert "--check-mc" in captured.err
+
 
 class TestRunCommands:
     def test_filter_study_to_csv(self, tmp_path, capsys):
@@ -129,12 +138,20 @@ class TestRunCommands:
         assert capsys.readouterr().out.encode() == out_path.read_bytes()
 
     def test_string_solver_value_is_config_error(self, tmp_path, capsys):
-        raw = small_autoconv_config()
-        cfg = tmp_path / "a.yaml"
-        # 1e-6 without a dot is a string to PyYAML
-        cfg.write_text(yaml.safe_dump(raw) + "solver: {tol: 1e-6}\n")
-        assert main(["run", "autoconv", "--config", str(cfg)]) == EXIT_CONFIG
-        assert "config.solver.tol" in capsys.readouterr().err
+        raw = small_nu_random_config()
+        cfg = tmp_path / "nu.yaml"
+        # 1e7 without a dot is a string to PyYAML
+        cfg.write_text(yaml.safe_dump(raw) + "solver: {kmax: 1e7}\n")
+        assert main(["run", "nu-random", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "config.solver.kmax" in capsys.readouterr().err
+
+    def test_infinite_eta_is_config_error(self, tmp_path, capsys):
+        raw = dict(small_filter_config(), eta_grid=[math.inf, 1e-2])
+        cfg = write_config(tmp_path / "c.yaml", raw)
+        assert ".inf" in (tmp_path / "c.yaml").read_text()
+        assert main(["run", "filter-study", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config.eta_grid" in captured.err and captured.out == ""
 
     def test_study_mismatch_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", small_filter_config())
@@ -176,25 +193,6 @@ class TestRunCommands:
         raw["solver"] = {}
         cfg = write_config(tmp_path / "nu2.yaml", raw)
         assert main(["run", "nu-random", "--config", cfg]) == EXIT_OK
-
-    def test_landweber_step_is_config_error(self, tmp_path, capsys):
-        raw = {
-            "schema_version": 1,
-            "study": "nu-random",
-            "seed": 3,
-            "eta_grid": [1e-3],
-            "trials_per_eta": 30,
-            "noise_level": {"mode": "kyfan-bound"},
-            "caps": {"norm": 100.0, "sup": 100.0},
-            "operator": {"kind": "diagonal-powerlaw", "size": 30, "decay": 1.0},
-            "truth": {"kind": "random-source", "power": -0.5, "norm": 1.0},
-            "rule": {"kind": "discrepancy-stop", "tau_hat": 2.5},
-            "solver": {"gamma": 2.0},  # gamma * sigma_1^2 = 2: not a contraction
-        }
-        cfg = write_config(tmp_path / "nu.yaml", raw)
-        assert main(["run", "nu-random", "--config", cfg]) == EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert "config.solver.gamma" in captured.err and captured.out == ""
 
     def test_zero_kmax_is_config_error(self, tmp_path, capsys):
         raw = dict(small_nu_random_config(), solver={"kmax": 0})  # no step would be taken

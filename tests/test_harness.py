@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from kyfanreg import harness
-from kyfanreg.config import ConfigError, parse_config
+from kyfanreg.config import _STUDY_SPECS, ConfigError, parse_config
 from kyfanreg.harness import (
     CSV_COLUMNS,
     EtaSummary,
@@ -105,18 +105,6 @@ class TestExport:
         export([summary_row()], path)
         header = path.read_text().splitlines()[0]
         assert header == "eta,delta_eff,alpha_or_kstar,err_mean,err_kyfan,residual_mean,trials,truncated_count"
-
-    def test_structured_text(self, tmp_path):
-        path = tmp_path / "out.txt"
-        export([summary_row()], path, fmt="structured-text")
-        text = path.read_text()
-        for col in CSV_COLUMNS:
-            assert col in text
-        assert "=" in text
-
-    def test_bad_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            export([], tmp_path / "x.csv", fmt="json")
 
     def test_io_error_has_path_context(self, tmp_path):
         missing_dir = tmp_path / "nope" / "out.csv"
@@ -435,7 +423,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("study, key, value, match", [
         # PyYAML reads 1e-6 without a dot as a string
-        ("autoconv", "solver", {"tol": "1e-6"}, "config.solver.tol: expected a number"),
+        ("besov", "solver", {"s": "1e-6"}, "config.solver.s: expected a number"),
         ("filter", "operator", {"kind": "autoconv", "size": 32}, "not usable in the filter study"),
         ("besov", "rule", {"kind": "apriori", "beta": 0.5, "nu": 1.0, "rho": 1.0},
          "not usable in the besov study"),
@@ -462,33 +450,38 @@ class TestConfigValidation:
          "config.operator: singular values must be finite"),
         ("nu-random", "operator", {"kind": "diagonal", "singular_values": [math.nan]},
          "config.operator: singular values must be finite"),
+        # YAML's .inf and .nan are numbers, but every setting must be finite
+        ("filter", "eta_grid", [math.inf, 1e-2],
+         r"config.eta_grid\[\*\]: expected a finite number"),
+        ("filter", "caps", {"norm": math.nan, "sup": 100.0},
+         "config.caps.norm: expected a finite number"),
+        ("filter", "noise_level",
+         {"mode": "inflated-expectation", "tau": {"kind": "constant", "value": math.inf}},
+         "config.noise_level.tau.value: expected a finite number"),
+        ("filter", "rule", {"kind": "apriori", "beta": 0.5, "nu": math.inf, "rho": 1.0},
+         "config.rule.nu: expected a finite number"),
     ])
     def test_study_mismatch_fails_at_parse(self, study, key, value, match):
         raw = dict(STUDY_CONFIGS[study], **{key: value})
         with pytest.raises(ConfigError, match=match):
             parse_config(raw)
 
-    @pytest.mark.parametrize("operator, gamma, largest_ok", [
-        ({"kind": "diagonal-powerlaw", "size": 50, "decay": 1.0}, 2.0, 1.0),
-        ({"kind": "diagonal", "singular_values": [2.0, 1.0]}, 0.3, 0.25),
-        ({"kind": "haar-diagonal", "levels": 3, "decay": 1.0}, 1.5, 1.0),
-        # a negative decay puts the largest value on the finest level, 2^3
-        ({"kind": "haar-diagonal", "levels": 3, "decay": -1.0}, 0.02, 1.0 / 64.0),
-        ({"kind": "diagonal-powerlaw", "size": 50, "decay": 1.0}, 0.0, 1.0),
+    @pytest.mark.parametrize("study, key, value", [
+        ("autoconv", "tol", 1e-6),
+        ("autoconv", "max_iter", 800),
+        ("autoconv", "max_budget", 6400),
+        ("autoconv", "total_budget", 20000),
+        ("autoconv", "max_alpha_steps", 40),
+        ("autoconv", "step_safety", 0.9),
+        ("nu-random", "gamma", 0.5),
     ])
-    def test_landweber_step_checked_at_parse(self, operator, gamma, largest_ok):
-        raw = dict(STUDY_CONFIGS["nu-random"], operator=operator)
-        with pytest.raises(ConfigError, match="config.solver.gamma"):
-            parse_config(dict(raw, solver={"gamma": gamma}))
-        # gamma * sigma_1^2 = 1 is still a contraction
-        assert parse_config(dict(raw, solver={"gamma": largest_ok})).solver["gamma"] == largest_ok
+    def test_removed_solver_keys_rejected(self, study, key, value):
+        # the studies fix these settings, so a config may not set them even to those values
+        with pytest.raises(ConfigError, match=rf"config.solver: unknown key\(s\) \['{key}'\]"):
+            parse_config(dict(STUDY_CONFIGS[study], solver={key: value}))
 
     @pytest.mark.parametrize("study, key", [
         ("nu-random", "kmax"),
-        ("autoconv", "max_iter"),
-        ("autoconv", "max_budget"),
-        ("autoconv", "total_budget"),
-        ("autoconv", "max_alpha_steps"),
         ("besov", "d"),
     ])
     def test_integer_solver_keys_at_least_one(self, study, key):
@@ -508,13 +501,10 @@ class TestConfigValidation:
             parse_config(dict(STUDY_CONFIGS["besov"], solver=solver))
 
     def test_solver_defaults_filled_in(self):
-        assert parse_config(STUDY_CONFIGS["autoconv"]).solver == {
-            "tol": 1e-6, "max_iter": 800, "max_budget": 6400, "total_budget": 20000,
-            "max_alpha_steps": 40, "step_safety": 0.9,
-        }
+        assert parse_config(STUDY_CONFIGS["autoconv"]).solver == {}
         assert parse_config(STUDY_CONFIGS["filter"]).solver == {"filter": "tikhonov"}
         assert parse_config(STUDY_CONFIGS["besov"]).solver == {"s": 1.0, "p": 1.5, "d": 1}
-        assert parse_config(STUDY_CONFIGS["nu-random"]).solver == {"gamma": None, "kmax": 10**7}
+        assert parse_config(STUDY_CONFIGS["nu-random"]).solver == {"kmax": 10**7}
 
     def test_rejects_deflating_tau(self):
         with pytest.raises(ConfigError):
@@ -528,6 +518,17 @@ class TestConfigValidation:
         assert blocks
         for block in blocks:
             parse_config(yaml.safe_load(block))
+
+    def test_readme_solver_keys_match_specs(self):
+        # the README's per-study table names exactly the solver keys each study takes
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        rows = {}
+        for line in readme.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 5 and cells[0].strip("`") in _STUDY_SPECS:
+                # a key is written `name` (default); "none" names no key
+                rows[cells[0].strip("`")] = set(re.findall(r"`([\w-]+)` \(", cells[4]))
+        assert rows == {study: set(spec["solver"]) for study, spec in _STUDY_SPECS.items()}
 
 
 # One small config per study; the summaries below were computed by the

@@ -189,8 +189,6 @@ class TestEmpiricalKyFan:
             EmpiricalSample.from_values([0.1, -0.2])
         with pytest.raises(ValueError):
             EmpiricalSample.from_values([0.1, float("inf")])
-        with pytest.raises(ValueError):
-            EmpiricalSample(distances=np.array([0.1, 0.2]), count=3)
 
     def test_definition_on_random_samples(self):
         # brute-force check of the defining infimum on candidate epsilons

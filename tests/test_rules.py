@@ -206,8 +206,6 @@ class TestTikhonovRatePredict:
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
-            tikhonov_rate_predict(1e-3, uniform_source_model(), xi_grid=[0.0, 0.5])
-        with pytest.raises(ValueError):
             tikhonov_rate_predict(2.0, uniform_source_model())
 
 
