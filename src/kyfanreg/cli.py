@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -113,7 +114,10 @@ def _cmd_kyfan(args) -> int:
         return EXIT_OK
     if args.subcommand == "empirical":
         try:
-            values = np.loadtxt(args.input, ndmin=1)
+            with warnings.catch_warnings():
+                # an empty file is reported by the sample check below
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                values = np.loadtxt(args.input, ndmin=1)
         except OSError as exc:
             raise ConfigError(f"cannot read distances from {args.input}: {exc}") from exc
         except ValueError as exc:

@@ -161,9 +161,13 @@ def _coerce(value, kind, where: str):
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where}: expected a number, got {value!r}")
-        if not math.isfinite(value):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the largest double
+            number = math.inf
+        if not math.isfinite(number):
             raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-        return float(value)
+        return number
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where}: expected an integer, got {value!r}")

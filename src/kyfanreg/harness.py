@@ -297,8 +297,8 @@ def _autoconv_solve(grid, haar, y_noisy, coeff_init, alpha, step, tol, max_iter)
 
     try:
         return prox_gradient_solve(
-            fwd, adj, y_noisy, alpha=alpha, weights=None, p=1.0, step=step,
-            x0=coeff_init, tol=tol, max_iter=max_iter,
+            fwd, adj, y_noisy, alpha=alpha, step=step, x0=coeff_init, tol=tol,
+            max_iter=max_iter,
         )
     except NonConvergence as exc:
         return exc.report
@@ -324,7 +324,7 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target, seed):
     lip = operator_norm_squared(
         lambda v: autoconv_derivative_apply(grid, x0, v),
         lambda r: autoconv_derivative_adjoint_apply(grid, x0, r),
-        m, iters=30, seed=seed, rows=rows,
+        rows, m, iters=30, seed=seed,
     )
     step = _STEP_SAFETY / np.maximum(lip, 1e-12)
 

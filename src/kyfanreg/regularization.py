@@ -1,16 +1,15 @@
 """Solvers: spectral filter reconstructions and accelerated
-proximal-gradient (FISTA) minimization of Tikhonov-type functionals with
-weighted lp penalties.
+proximal-gradient (FISTA) minimization of an l1-penalized least-squares
+functional.
 
 Conventions
 -----------
 * Filtered reconstruction: R_alpha(y) = sum_{sigma_n>0} F(sigma_n)/sigma_n
   <y, u_n> v_n with a filter value F in [0, 1].
-* The penalized functional is ||F(x) - y||^2 + alpha * sum_i w_i |x_i|^p.
+* The penalized functional is ||F(x) - y||^2 + alpha * ||x||_1.
   Gradient steps use F'(x)*(F(x) - y), the gradient of half the squared
-  residual, so the matching proximal threshold is step * alpha * w_i / 2.
-  The fixed point then solves the functional above exactly (for the linear
-  p = 2 case it reproduces the Tikhonov filter with the same alpha).
+  residual, so the matching proximal threshold is step * alpha / 2.
+  The fixed point then solves the functional above exactly.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ class LandweberFilter:
 class SolveReport:
     """Outcome of a solver run; final_residual is ||forward(solution) - data||.
 
-    A batched prox-gradient solve reports (B,) arrays of final residuals,
+    A prox-gradient solve reports (B,) arrays of final residuals,
     per-row iteration counts and convergence flags; ``iterations`` is then
     the total over rows.
     """
@@ -180,16 +179,12 @@ def prox_weighted_lp(v, t, p: float):
     """
     v_arr = np.asarray(v, dtype=float)
     t_arr = np.asarray(t, dtype=float)
-    _check_prox_args(t_arr, p)
-    out = _prox_lp(v_arr, t_arr, p)
-    return out if out.ndim else float(out)
-
-
-def _check_prox_args(t: np.ndarray, p: float) -> None:
     if not (1.0 <= p <= 2.0):
         raise ValueError(f"p must lie in [1, 2], got {p!r}")
-    if np.any(t < 0.0):
+    if np.any(t_arr < 0.0):
         raise ValueError("threshold must be nonnegative")
+    out = _prox_lp(v_arr, t_arr, p)
+    return out if out.ndim else float(out)
 
 
 def _prox_lp(v: np.ndarray, t: np.ndarray, p: float) -> np.ndarray:
@@ -216,34 +211,25 @@ def _per_row(value, rows: int, what: str, dtype=float) -> np.ndarray:
     return np.broadcast_to(arr, (rows,)).copy()
 
 
-def _as_block(fn, batched: bool):
-    # the loops below work on (B, m) blocks; a 1-d problem is the B = 1 case,
-    # and its callbacks still see vectors
-    if batched:
-        return fn
-    return lambda *args: np.asarray(fn(*(a[0] for a in args)), dtype=float)[np.newaxis]
-
-
 def prox_gradient_solve(
     forward,
     derivative_adjoint,
     y,
     alpha,
-    weights,
-    p: float,
     step,
     x0,
-    tol: float = 1e-10,
-    max_iter=5000,
+    tol: float,
+    max_iter,
     record_objective: bool = False,
 ) -> SolveReport:
-    """Accelerated proximal gradient on ||F(x) - y||^2 + alpha * sum w_i |x_i|^p.
+    """Accelerated proximal gradient on ||F(x) - y||^2 + alpha * ||x||_1, row by row.
 
-    Monotone FISTA (Beck and Teboulle 2009) with gradient-based adaptive
-    restart (O'Donoghue and Candes 2015).  One iteration takes a proximal
-    gradient step from the extrapolated point z,
-    x+ = prox(z - step * F'(z)*(F(z) - y)) with per-entry proximal threshold
-    step * alpha * w_i / 2, and then extrapolates
+    ``x0`` and ``y`` are (B, m) blocks of one shape, and each row is its own
+    problem, with its own momentum and restarts.  Monotone FISTA (Beck and
+    Teboulle 2009) with gradient-based adaptive restart (O'Donoghue and
+    Candes 2015).  One iteration takes a proximal gradient step from the
+    extrapolated point z, x+ = prox(z - step * F'(z)*(F(z) - y)) with
+    proximal threshold step * alpha / 2, and then extrapolates
     z <- x+ + (t - 1) / t+ * (x+ - x) with t+ = (1 + sqrt(1 + 4 t^2)) / 2,
     starting from z = x0 and t = 1.  When the step opposes the momentum,
     (z - x+) . (x+ - x) > 0, the momentum restarts: t = 1 and z = x+.  A
@@ -258,29 +244,24 @@ def prox_gradient_solve(
     carries the final state.  The forward map runs twice per iteration, at
     z for the gradient and at x+ for the objective.
 
-    Batches: with ``x0`` and ``y`` of shape (B, m), each row is its own
-    problem, with its own momentum and restarts.  ``alpha``, ``step`` and
-    ``max_iter`` are then scalars or one value per row, and ``forward(x)``
-    and ``derivative_adjoint(x, r)`` must act row by row on any (k, m)
-    block of the rows: a row leaves the block as soon as it stops.  ``derivative_adjoint`` is always called at the block that was
+    ``alpha``, ``step`` and ``max_iter`` are scalars or one value per row.
+    ``forward(x)`` and ``derivative_adjoint(x, r)`` must act row by row on
+    any (k, m) block of the rows: a row leaves the block as soon as it
+    stops.  ``derivative_adjoint`` is always called at the block that was
     last passed to ``forward``, so a caller may reuse work between the two.
     The report's ``solution`` is (B, m), ``final_residual`` is a (B,) array
     and ``iterations`` is the total over rows; ``row_iterations`` and
     ``converged`` hold each row's count and outcome.  NonConvergence is
-    raised when any row exhausts its budget.  A 1-d problem is the B = 1
-    case, with vector callbacks, a float residual and ``record_objective``
-    (the objective at x after every iteration; batches do not support it).
+    raised when any row exhausts its budget.  ``record_objective`` keeps the
+    objective at x after every iteration, for a one-row block only.
     """
     x = np.asarray(x0, dtype=float)
-    if x.ndim not in (1, 2):
-        raise ValueError(f"x0 must be a vector or a (B, m) block, got shape {x.shape}")
-    batched = x.ndim == 2
-    x = x.reshape(-1, x.shape[-1])
-    rows, n = x.shape
+    if x.ndim != 2:
+        raise ValueError(f"x0 must be a (B, m) block, got shape {x.shape}")
+    rows = x.shape[0]
     y = np.asarray(y, dtype=float)
-    if y.shape != np.shape(x0):
-        raise ValueError(f"data shape {y.shape} does not match the unknown's {np.shape(x0)}")
-    y = y.reshape(rows, n)
+    if y.shape != x.shape:
+        raise ValueError(f"data shape {y.shape} does not match the unknown's {x.shape}")
     alpha = _per_row(alpha, rows, "alpha")
     step = _per_row(step, rows, "step")
     if not np.all(alpha > 0.0):
@@ -288,23 +269,14 @@ def prox_gradient_solve(
     if not np.all(step > 0.0):
         raise ValueError(f"step must be positive, got {step!r}")
     budget = _per_row(max_iter, rows, "max_iter", dtype=int)
-    # unit weights broadcast from one entry, so thresholds stay (B, 1)
-    w = np.ones(1) if weights is None else np.asarray(weights, dtype=float)
-    if weights is not None and w.shape != (n,):
-        raise ValueError("weights must match the unknown's shape")
-    if record_objective and batched:
-        raise ValueError("record_objective needs a 1-d problem")
-    thresh = (step * alpha)[:, np.newaxis] * w / 2.0
-    # validated once here; the loop applies the unchecked map
-    _check_prox_args(thresh, p)
-    forward = _as_block(forward, batched)
-    derivative_adjoint = _as_block(derivative_adjoint, batched)
+    if record_objective and rows != 1:
+        raise ValueError("record_objective needs a one-row block")
+    thresh = (step * alpha / 2.0)[:, np.newaxis]
 
     def objective(xv, r):
         # each row's residual norm and objective
         res_sq = np.einsum("ij,ij->i", r, r)
-        penalty = np.abs(xv) if p == 1.0 else np.abs(xv) ** p
-        return np.sqrt(res_sq), res_sq + alpha * np.sum(w * penalty, axis=1)
+        return np.sqrt(res_sq), res_sq + alpha * np.sum(np.abs(xv), axis=1)
 
     solution = np.empty_like(x)
     final = np.empty(rows)
@@ -334,7 +306,7 @@ def prox_gradient_solve(
         k += 1
         v = np.multiply(step[:, np.newaxis], derivative_adjoint(z, forward(z) - y))
         np.subtract(z, v, out=v)
-        x_next = _prox_lp(v, thresh, p)
+        x_next = _prox_lp(v, thresh, 1.0)
         next_norm, next_value = objective(x_next, forward(x_next) - y)
         from_z = x_next - z
         move = x_next - x
@@ -356,9 +328,9 @@ def prox_gradient_solve(
         z = np.add(x, move, out=move)
 
     report = SolveReport(
-        solution=solution if batched else solution[0],
+        solution=solution,
         iterations=int(row_iterations.sum()),
-        final_residual=final if batched else float(final[0]),
+        final_residual=final,
         objective_trace=tuple(trace),
         row_iterations=row_iterations,
         converged=converged,
@@ -374,23 +346,20 @@ def prox_gradient_solve(
 
 
 def operator_norm_squared(
-    apply_fn, adjoint_fn, n: int, iters: int = 50, seed: int = 0, rows: int | None = None
+    apply_fn, adjoint_fn, rows: int, n: int, iters: int = 50, seed: int = 0
 ):
-    """Estimate ||M||^2 by power iteration on M*M for a linear map of width n.
+    """Estimate ||M_i||^2 by power iteration for each row's linear map M_i of width n.
 
-    With ``rows`` set, ``apply_fn`` and ``adjoint_fn`` act on a (rows, n)
-    block, row i through its own linear map M_i, and a (rows,) array of
-    estimates is returned.  Every row starts from the same seeded vector
-    and runs the iteration a one-row call would run.
+    ``apply_fn`` and ``adjoint_fn`` act on a (rows, n) block, row i through
+    its own linear map M_i, and a (rows,) array of estimates is returned.
+    Every row starts from the same seeded vector and runs the iteration a
+    one-row call would run.
     """
-    batched = rows is not None
-    v = np.tile(trial_rng(seed, 0).standard_normal(n), (rows if batched else 1, 1))
+    v = np.tile(trial_rng(seed, 0).standard_normal(n), (rows, 1))
     v /= _row_norms(v)[:, np.newaxis]
-    apply_fn = _as_block(apply_fn, batched)
-    adjoint_fn = _as_block(adjoint_fn, batched)
-    lam = np.zeros(v.shape[0])
+    lam = np.zeros(rows)
     # a row whose M*M v vanishes has norm estimate 0
-    live = np.ones(v.shape[0], dtype=bool)
+    live = np.ones(rows, dtype=bool)
     for _ in range(iters):
         u = adjoint_fn(apply_fn(v))
         norm = _row_norms(u)
@@ -400,5 +369,4 @@ def operator_norm_squared(
         lam = np.where(live, np.einsum("ij,ij->i", v, u), lam)
         # a dead row's u is (numerically) zero and is ignored from here on
         v = u / np.where(live, norm, 1.0)[:, np.newaxis]
-    est = np.where(live, np.maximum(lam, _row_norms(apply_fn(v)) ** 2), 0.0)
-    return est if batched else float(est[0])
+    return np.where(live, np.maximum(lam, _row_norms(apply_fn(v)) ** 2), 0.0)

@@ -81,6 +81,14 @@ class TestKyfanCommands:
         code = main(["kyfan", "empirical", "--input", str(tmp_path / "absent.csv")])
         assert code == EXIT_CONFIG
 
+    def test_empirical_empty_file(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("")
+        assert main(["kyfan", "empirical", "--input", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1 and lines[0].startswith("config error:")
+
     def test_tail_with_mc(self, capsys):
         code = main(["kyfan", "tail", "--tau", "1.5", "--m", "4",
                      "--check-mc", "20000", "--seed", "5"])
@@ -149,6 +157,14 @@ class TestRunCommands:
         raw = dict(small_filter_config(), eta_grid=[math.inf, 1e-2])
         cfg = write_config(tmp_path / "c.yaml", raw)
         assert ".inf" in (tmp_path / "c.yaml").read_text()
+        assert main(["run", "filter-study", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config.eta_grid" in captured.err and captured.out == ""
+
+    def test_huge_integer_eta_is_config_error(self, tmp_path, capsys):
+        # 10**400 overflows a double
+        raw = dict(small_filter_config(), eta_grid=[10**400, 1e-2])
+        cfg = write_config(tmp_path / "c.yaml", raw)
         assert main(["run", "filter-study", "--config", cfg]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "config.eta_grid" in captured.err and captured.out == ""

@@ -226,6 +226,24 @@ class TestFilterStudy:
         res = run_study(cfg)
         assert res.summaries[0].err_mean < 5.25  # better than the zero solution
 
+    def test_csv_operator_matches_its_diagonal_twin(self, tmp_path):
+        # the SVD of a diagonal matrix holds signed unit vectors, so the
+        # basis path must reproduce the diagonal operator's study exactly
+        sigma = 1.0 / np.arange(1, 51)
+        path = tmp_path / "a.csv"
+        np.savetxt(path, np.diag(sigma), delimiter=",", fmt="%.17g")
+        dense = {"kind": "csv", "path": str(path)}
+        diagonal = {"kind": "diagonal", "singular_values": sigma.tolist()}
+        for overrides in (
+            {"rule": {"kind": "discrepancy", "tau1": 1.1, "tau2": 1.5}},
+            {},
+            {"solver": {"filter": "tsvd"}},
+        ):
+            runs = [run_study(filter_config(trials_per_eta=30, operator=op, **overrides))
+                    for op in (dense, diagonal)]
+            assert runs[0].trials == runs[1].trials
+            assert runs[0].summaries == runs[1].summaries
+
 
 class TestAutoconvStudy:
     def test_repeat_runs_are_identical(self):
@@ -409,9 +427,9 @@ class TestConfigValidation:
 
     def test_solver_keys_belong_to_the_study(self):
         assert filter_config(solver={"filter": "tsvd"}).solver == {"filter": "tsvd"}
-        # an autoconv knob is not a filter-study knob
-        with pytest.raises(ConfigError, match="tol"):
-            filter_config(solver={"tol": 1e-6})
+        # a nu-random key is not a filter-study key
+        with pytest.raises(ConfigError, match="kmax"):
+            filter_config(solver={"kmax": 10})
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_out_of_range(self, seed):
@@ -460,6 +478,9 @@ class TestConfigValidation:
          "config.noise_level.tau.value: expected a finite number"),
         ("filter", "rule", {"kind": "apriori", "beta": 0.5, "nu": math.inf, "rho": 1.0},
          "config.rule.nu: expected a finite number"),
+        # an integer too large for a double is not finite either
+        ("filter", "eta_grid", [10**400, 1e-2],
+         r"config.eta_grid\[\*\]: expected a finite number"),
     ])
     def test_study_mismatch_fails_at_parse(self, study, key, value, match):
         raw = dict(STUDY_CONFIGS[study], **{key: value})
