@@ -10,8 +10,7 @@ predict          evaluate the rate predictors
 
 Exit codes: 0 success, 2 configuration, argument or I/O error, 3 numerical
 failure (an error raised inside a study run, whose config has been checked
-in full by then; no bracket for the balancing rule; or a study dominated by
-non-converged trials).
+in full by then, or a study dominated by flagged trials).
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from .noise import (
     tail_prob_tau,
 )
 from .rules import (
-    NoBracket,
     combined_model,
     heavy_tail_model,
     nu_effective,
@@ -218,9 +216,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NoBracket as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
     raise AssertionError(args.command)
 
 

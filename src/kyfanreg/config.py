@@ -24,12 +24,12 @@ solver         : optional study-specific keys (see _STUDY_SPECS; autoconv
                  takes none); integer keys must be at least 1, and besov
                  needs p in [1, 2] and zeta = s - d(1/2 - 1/p) > 0
 
-Operator specs: {kind: diagonal, singular_values: [...]} (non-increasing),
-{kind: diagonal-powerlaw, size: n, decay: q} for sigma_k = k^-q,
-{kind: csv, path: file} for a dense matrix factorized by SVD,
+Operator specs: a linear operator is given by its singular values, in its
+singular basis: {kind: diagonal, singular_values: [...]} (non-increasing),
+{kind: diagonal-powerlaw, size: n, decay: q} for sigma_k = k^-q, and
 {kind: haar-diagonal, levels: L, decay: b} acting as 2^(-b*level) on Haar
-coefficients, and {kind: autoconv, size: m} for the quadratic
-autoconvolution map on an m-point grid, m a power of two.
+coefficients.  {kind: autoconv, size: m} is the quadratic autoconvolution
+map on an m-point grid, m a power of two.
 
 Truth specs: {kind: explicit, values: [...]} of the operator's solution
 length, {kind: source-powerlaw, exponent: e, power: p, norm: r} building
@@ -154,35 +154,40 @@ def _take(mapping: dict, where: str, required: dict, optional: dict | None = Non
 
 
 def _coerce(value, kind, where: str):
-    if isinstance(kind, tuple):  # one of these strings
-        if value not in kind:
-            raise ConfigError(f"{where}: expected one of {list(kind)}, got {value!r}")
-        return value
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}: expected a number, got {value!r}")
-        try:
-            number = float(value)
-        except OverflowError:  # an integer beyond the largest double
-            number = math.inf
-        if not math.isfinite(number):
-            raise ConfigError(f"{where}: expected a finite number, got {value!r}")
-        return number
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where}: expected an integer, got {value!r}")
-        return value
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{where}: expected a string, got {value!r}")
-        return value
-    if kind is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{where}: expected a list, got {value!r}")
-        return value
     if kind is dict:
         return _mapping(value, where)
-    raise AssertionError(f"unhandled coercion kind {kind}")
+    if isinstance(kind, tuple):  # one of these strings
+        if value in kind:
+            return value
+        expected = f"one of {list(kind)}"
+    elif kind is float:
+        expected = "a number"
+        if not isinstance(value, bool) and isinstance(value, (int, float)):
+            try:
+                number = float(value)
+            except OverflowError:  # an integer beyond the largest double
+                number = math.inf
+            if math.isfinite(number):
+                return number
+            expected = "a finite number"
+    elif kind is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        expected = "an integer"
+    elif kind is str:
+        if isinstance(value, str):
+            return value
+        expected = "a string"
+    elif kind is list:
+        if isinstance(value, list):
+            return value
+        expected = "a list"
+    else:
+        raise AssertionError(f"unhandled coercion kind {kind}")
+    shown = repr(value)
+    if len(shown) > 40:  # a long value, say a 400-digit integer, would bury the message
+        shown = f"{shown[:40]}... ({len(shown)} characters)"
+    raise ConfigError(f"{where}: expected {expected}, got {shown}")
 
 
 def _parse_tau(spec: dict, where: str):
@@ -210,7 +215,6 @@ def _parse_noise_level(spec: dict, where: str):
 _OPERATOR_SCHEMAS = {
     "diagonal": ({"kind": str, "singular_values": list}, {}),
     "diagonal-powerlaw": ({"kind": str, "size": int, "decay": float}, {}),
-    "csv": ({"kind": str, "path": str}, {}),
     "haar-diagonal": ({"kind": str, "levels": int, "decay": float}, {}),
     "autoconv": ({"kind": str, "size": int}, {}),
 }
@@ -242,7 +246,7 @@ _RULE_SCHEMAS = {
 _DIAGONAL_KINDS = ("diagonal", "diagonal-powerlaw", "haar-diagonal")
 _STUDY_SPECS = {
     "filter": {
-        "operator": (*_DIAGONAL_KINDS, "csv"),
+        "operator": _DIAGONAL_KINDS,
         "truth": ("explicit", "source-powerlaw"),
         "rule": ("apriori", "fixed", "discrepancy"),
         "solver": {"filter": (("tikhonov", "tsvd"), "tikhonov")},
@@ -285,7 +289,7 @@ def _built(where: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``; a spec it rejects is a ConfigError at ``where``."""
     try:
         return build(*args, **kwargs)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -297,8 +301,6 @@ def build_operator(spec: dict) -> SvdOperator:
     if kind == "diagonal-powerlaw":
         n = np.arange(1, spec["size"] + 1, dtype=float)
         return SvdOperator.diagonal(n ** (-spec["decay"]))
-    if kind == "csv":
-        return SvdOperator.from_csv(spec["path"])
     if kind == "autoconv":
         # truth specs act through the identity; the study's Haar basis needs 2^L points
         haar_level_indices(spec["size"])
@@ -309,7 +311,7 @@ def build_operator(spec: dict) -> SvdOperator:
 
 def build_truth(spec: dict, op: SvdOperator) -> np.ndarray:
     """The true solution of a parsed spec for ``op``; random-source gives its source z."""
-    kind, n = spec["kind"], op.solution_dim
+    kind, n = spec["kind"], op.size
     if kind == "explicit":
         x = np.asarray(spec["values"], dtype=float)
         if x.shape != (n,):

@@ -241,7 +241,7 @@ def _filter_study(cfg: ExperimentConfig):
 
     def at_eta(eta, dlt):
         def one_trial(t, rng):
-            y_noisy = y_exact + eta * rng.standard_normal(op.data_dim)
+            y_noisy = y_exact + eta * rng.standard_normal(op.size)
             flagged = False
             try:
                 alpha, disc = _choose_alpha(cfg, op, y_noisy, dlt)
@@ -251,7 +251,7 @@ def _filter_study(cfg: ExperimentConfig):
             if disc is not None:
                 x = disc.report.solution
             elif math.isinf(alpha):
-                x = np.zeros(op.solution_dim)
+                x = np.zeros(op.size)
             else:
                 x = filter_reconstruct(op, y_noisy, make_kind(alpha))
             residual = float(np.linalg.norm(op.apply(x) - y_noisy))
@@ -259,7 +259,7 @@ def _filter_study(cfg: ExperimentConfig):
 
         return _each_trial(one_trial), None
 
-    return op.data_dim, 1, at_eta
+    return op.size, 1, at_eta
 
 
 # -- autoconvolution study ----------------------------------------------------

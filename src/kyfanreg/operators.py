@@ -1,11 +1,12 @@
-"""Forward operators: SVD-represented compact linear maps, the generalized
-inverse, the discrete autoconvolution map with derivative and adjoint, the
+"""Forward operators: compact linear maps given by their singular values,
+the discrete autoconvolution map with derivative and adjoint, the
 orthonormal Haar transform, and Besov weight generation.
 
 Conventions
 -----------
-* An ``SvdOperator`` acts as A x = sum_n sigma_n <x, v_n> u_n.  A diagonal
-  operator has implicit identity bases.
+* An ``SvdOperator`` is written in its singular basis, A x = sigma * x.
+  Gaussian white noise is invariant under the orthogonal change to that
+  basis, so every linear study runs this diagonal sequence-space model.
 * The autoconvolution of x on [0, 1] with m grid points uses the
   left-rectangle sum y_k = h * sum_{j<=k} x_j x_{k-j}, h = 1/m, which keeps
   the quadratic expansion F(x+v) = F(x) + F'(x)v + F(v) exact.
@@ -36,9 +37,6 @@ __all__ = [
     "besov_weights",
 ]
 
-_ORTHO_TOL = 1e-10
-
-
 def _as_vector(x, n: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != n:
@@ -48,17 +46,12 @@ def _as_vector(x, n: int, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdOperator:
-    """Compact linear operator given by its singular system.
+    """Compact linear operator in its singular basis: (A x)_n = sigma_n x_n.
 
-    ``singular_values`` must be finite, non-increasing and nonnegative.  When
-    ``left_basis``/``right_basis`` are None the operator is diagonal (both
-    bases are the identity); otherwise they are column-orthonormal matrices
-    whose columns are u_n (data side, m x r) and v_n (solution side, n x r).
+    ``singular_values`` must be finite, non-increasing and nonnegative.
     """
 
     singular_values: np.ndarray
-    left_basis: np.ndarray | None = None
-    right_basis: np.ndarray | None = None
 
     def __post_init__(self):
         s = np.asarray(self.singular_values, dtype=float)
@@ -71,90 +64,19 @@ class SvdOperator:
         if np.any(np.diff(s) > 1e-12 * max(1.0, s[0])):
             raise ValueError("singular values must be non-increasing")
         object.__setattr__(self, "singular_values", s)
-        if (self.left_basis is None) != (self.right_basis is None):
-            raise ValueError("either give both bases or neither")
-        if self.left_basis is not None:
-            u = np.asarray(self.left_basis, dtype=float)
-            v = np.asarray(self.right_basis, dtype=float)
-            for name, b in (("left_basis", u), ("right_basis", v)):
-                if b.ndim != 2 or b.shape[1] != s.size:
-                    raise ValueError(f"{name} must have one column per singular value")
-                gram = b.T @ b
-                if not np.allclose(gram, np.eye(s.size), atol=_ORTHO_TOL):
-                    raise ValueError(f"{name} columns are not orthonormal")
-            object.__setattr__(self, "left_basis", u)
-            object.__setattr__(self, "right_basis", v)
-
-    # -- constructors ---------------------------------------------------
 
     @classmethod
     def diagonal(cls, singular_values) -> "SvdOperator":
-        return cls(singular_values=np.asarray(singular_values, dtype=float))
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "SvdOperator":
-        a = np.asarray(matrix, dtype=float)
-        if a.ndim != 2:
-            raise ValueError("operator matrix must be 2-d")
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-        return cls(singular_values=s, left_basis=u, right_basis=vt.T)
-
-    @classmethod
-    def from_csv(cls, path) -> "SvdOperator":
-        try:
-            a = np.loadtxt(path, delimiter=",", ndmin=2)
-        except OSError as exc:
-            raise OSError(f"cannot read operator matrix from {path}: {exc}") from exc
-        return cls.from_matrix(a)
-
-    # -- geometry -------------------------------------------------------
+        return cls(singular_values)
 
     @property
-    def is_diagonal(self) -> bool:
-        return self.left_basis is None
-
-    @property
-    def data_dim(self) -> int:
-        return self.singular_values.size if self.is_diagonal else self.left_basis.shape[0]
-
-    @property
-    def solution_dim(self) -> int:
-        return self.singular_values.size if self.is_diagonal else self.right_basis.shape[0]
-
-    def data_coeffs(self, y) -> np.ndarray:
-        """Coefficients <y, u_n> of a data-space vector."""
-        y = _as_vector(y, self.data_dim, "data vector")
-        return y if self.is_diagonal else self.left_basis.T @ y
-
-    def solution_coeffs(self, x) -> np.ndarray:
-        """Coefficients <x, v_n> of a solution-space vector."""
-        x = _as_vector(x, self.solution_dim, "solution vector")
-        return x if self.is_diagonal else self.right_basis.T @ x
-
-    def from_solution_coeffs(self, c: np.ndarray) -> np.ndarray:
-        return c if self.is_diagonal else self.right_basis @ c
-
-    def from_data_coeffs(self, c: np.ndarray) -> np.ndarray:
-        return c if self.is_diagonal else self.left_basis @ c
-
-    # -- actions ---------------------------------------------------------
+    def size(self) -> int:
+        """Length of the data and solution vectors."""
+        return self.singular_values.size
 
     def apply(self, x) -> np.ndarray:
-        """A x = sum_n sigma_n <x, v_n> u_n."""
-        return self.from_data_coeffs(self.singular_values * self.solution_coeffs(x))
-
-    def apply_adjoint(self, y) -> np.ndarray:
-        """A* y = sum_n sigma_n <y, u_n> v_n."""
-        return self.from_solution_coeffs(self.singular_values * self.data_coeffs(y))
-
-    def generalized_inverse_apply(self, y) -> np.ndarray:
-        """A^+ y: invert on the positive singular directions, drop the kernel."""
-        c = self.data_coeffs(y)
-        s = self.singular_values
-        out = np.zeros_like(c)
-        pos = s > 0.0
-        out[pos] = c[pos] / s[pos]
-        return self.from_solution_coeffs(out)
+        """A x = sigma * x."""
+        return self.singular_values * _as_vector(x, self.size, "solution vector")
 
     def source_element(self, exponent: float, w) -> np.ndarray:
         """(A* A)^exponent w, i.e. the spectral multiplier sigma^(2*exponent).
@@ -162,15 +84,14 @@ class SvdOperator:
         The caller passes the exponent explicitly (nu/2 for range conditions
         written with (A*A)^(nu/2), nu when the condition uses (A*A)^nu).
         """
-        w = _as_vector(w, self.solution_dim, "source element")
+        w = _as_vector(w, self.size, "source element")
         if exponent == 0.0:
             return w.copy()
-        c = self.solution_coeffs(w)
         s = self.singular_values
         mult = np.zeros_like(s)
         pos = s > 0.0
         mult[pos] = s[pos] ** (2.0 * exponent)
-        return self.from_solution_coeffs(mult * c)
+        return mult * w
 
 
 @dataclass(frozen=True)

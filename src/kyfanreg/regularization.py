@@ -4,8 +4,8 @@ functional.
 
 Conventions
 -----------
-* Filtered reconstruction: R_alpha(y) = sum_{sigma_n>0} F(sigma_n)/sigma_n
-  <y, u_n> v_n with a filter value F in [0, 1].
+* Filtered reconstruction: R_alpha(y)_n = F(sigma_n)/sigma_n * y_n where
+  sigma_n > 0 and 0 where sigma_n = 0, with a filter value F in [0, 1].
 * The penalized functional is ||F(x) - y||^2 + alpha * ||x||_1.
   Gradient steps use F'(x)*(F(x) - y), the gradient of half the squared
   residual, so the matching proximal threshold is step * alpha / 2.
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import trial_rng
+from .operators import _as_vector
 
 __all__ = [
     "Tikhonov",
@@ -118,17 +119,17 @@ def filter_value(kind, sigma):
 
 
 def filter_reconstruct(op, y, kind) -> np.ndarray:
-    """Filtered generalized inverse sum_{sigma>0} F(sigma)/sigma <y,u_n> v_n."""
+    """Filtered generalized inverse F(sigma)/sigma * y where sigma > 0, else 0."""
     s = op.singular_values
-    if isinstance(kind, LandweberFilter) and s.size and kind.gamma * s[0] ** 2 > 1.0 + 1e-12:
+    if isinstance(kind, LandweberFilter) and kind.gamma * s[0] ** 2 > 1.0 + 1e-12:
         raise ValueError(
             f"Landweber filter not contractive: gamma*sigma_1^2 = {kind.gamma * s[0]**2:.3g} > 1"
         )
-    c = op.data_coeffs(y)
-    out = np.zeros_like(c)
+    y = _as_vector(y, s.size, "data vector")
+    out = np.zeros_like(y)
     pos = s > 0.0
-    out[pos] = filter_value(kind, s[pos]) / s[pos] * c[pos]
-    return op.from_solution_coeffs(out)
+    out[pos] = filter_value(kind, s[pos]) / s[pos] * y[pos]
+    return out
 
 
 def soft_threshold(v, t):

@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .noise import _log_term
+from .operators import _as_vector
 from .regularization import SolveReport, Tikhonov, filter_reconstruct
 from .special import lambert_w0, reg_gamma_q
 
@@ -133,10 +134,9 @@ class DiscrepancyResult:
     trivial: bool = False
 
 
-def _tikhonov_residual_norm(op, coeffs: np.ndarray, perp_sq: float, alpha: float) -> float:
-    s = op.singular_values
-    factor = alpha / (s * s + alpha)  # sigma = 0 components stay in full
-    return math.sqrt(float(np.sum((factor * coeffs) ** 2)) + perp_sq)
+def _tikhonov_residual_norm(s: np.ndarray, y: np.ndarray, alpha: float) -> float:
+    factor = alpha / (s * s + alpha)  # alpha > 0: sigma = 0 components stay in full
+    return math.sqrt(float(np.sum((factor * y) ** 2)))
 
 
 def discrepancy_alpha(op, y, delta_eff: float, rule: Discrepancy) -> DiscrepancyResult:
@@ -145,42 +145,39 @@ def discrepancy_alpha(op, y, delta_eff: float, rule: Discrepancy) -> Discrepancy
     The Tikhonov residual is continuous and non-decreasing in alpha, so a
     bisection on log(alpha) is exact.  Data with ||y|| <= tau1*delta is
     trivial: the zero solution already satisfies the bound and the sentinel
-    alpha = inf is returned.  If even alpha -> 0 leaves the residual above
+    alpha = inf is returned.  As alpha -> 0 the residual falls to the norm
+    of the data on the zero singular values; if that floor exceeds
     tau2*delta the data and noise level are inconsistent
     (:class:`NoFeasibleAlpha`).
     """
     if not (delta_eff > 0.0):
         raise ValueError(f"delta_eff must be positive, got {delta_eff!r}")
-    y = np.asarray(y, dtype=float)
+    s = op.singular_values
+    y = _as_vector(y, s.size, "data vector")
     lo_target = rule.tau1 * delta_eff
     hi_target = rule.tau2 * delta_eff
     norm_y = float(np.linalg.norm(y))
     if norm_y <= lo_target:
-        report = SolveReport(
-            solution=np.zeros(op.solution_dim), iterations=0, final_residual=norm_y
-        )
+        report = SolveReport(solution=np.zeros(s.size), iterations=0, final_residual=norm_y)
         return DiscrepancyResult(alpha=math.inf, report=report, trivial=True)
 
-    coeffs = op.data_coeffs(y)
-    perp_sq = max(norm_y**2 - float(coeffs @ coeffs), 0.0)
-    residual_floor = _tikhonov_residual_norm(op, coeffs, perp_sq, 0.0)
+    residual_floor = float(np.linalg.norm(y[s == 0.0]))
     if residual_floor > hi_target:
         raise NoFeasibleAlpha(
             f"minimal attainable residual {residual_floor:.6g} exceeds "
             f"tau2*delta_eff = {hi_target:.6g}"
         )
 
-    sigma1 = float(op.singular_values[0]) if op.singular_values.size else 1.0
-    scale = max(sigma1**2, 1e-30)
+    scale = max(float(s[0]) ** 2, 1e-30)
     hi = scale
     evals = 1
-    while _tikhonov_residual_norm(op, coeffs, perp_sq, hi) < lo_target:
+    while _tikhonov_residual_norm(s, y, hi) < lo_target:
         hi *= 10.0
         evals += 1
         if hi > 1e300:
             break
     lo = min(hi, scale * 1e-12)
-    while _tikhonov_residual_norm(op, coeffs, perp_sq, lo) > hi_target:
+    while _tikhonov_residual_norm(s, y, lo) > hi_target:
         lo /= 10.0
         evals += 1
         if lo < 1e-300:
@@ -189,7 +186,7 @@ def discrepancy_alpha(op, y, delta_eff: float, rule: Discrepancy) -> Discrepancy
     alpha = hi
     for _ in range(500):
         alpha = math.sqrt(lo * hi)
-        res = _tikhonov_residual_norm(op, coeffs, perp_sq, alpha)
+        res = _tikhonov_residual_norm(s, y, alpha)
         evals += 1
         if res < lo_target:
             lo = alpha
@@ -199,7 +196,7 @@ def discrepancy_alpha(op, y, delta_eff: float, rule: Discrepancy) -> Discrepancy
             break
         if hi / lo < 1.0 + 1e-14:
             # zero-width band (tau1 == tau2): accept the bisection limit
-            res = _tikhonov_residual_norm(op, coeffs, perp_sq, alpha)
+            res = _tikhonov_residual_norm(s, y, alpha)
             if not (lo_target * (1.0 - 1e-9) <= res <= hi_target * (1.0 + 1e-9)):
                 raise NoFeasibleAlpha(
                     f"bisection collapsed at alpha={alpha:.6g} with residual {res:.6g} "

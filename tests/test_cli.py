@@ -169,6 +169,16 @@ class TestRunCommands:
         captured = capsys.readouterr()
         assert "config.eta_grid" in captured.err and captured.out == ""
 
+    def test_csv_operator_is_config_error(self, tmp_path, capsys):
+        # operators are given by their singular values; a dense matrix file is not read
+        matrix = tmp_path / "a.csv"
+        matrix.write_text("1.0,0.0\n0.0,0.5\n", encoding="utf-8")
+        raw = dict(small_filter_config(), operator={"kind": "csv", "path": str(matrix)})
+        cfg = write_config(tmp_path / "c.yaml", raw)
+        assert main(["run", "filter-study", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config.operator" in captured.err and captured.out == ""
+
     def test_study_mismatch_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", small_filter_config())
         assert main(["run", "besov", "--config", cfg]) == EXIT_CONFIG

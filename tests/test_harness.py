@@ -226,23 +226,21 @@ class TestFilterStudy:
         res = run_study(cfg)
         assert res.summaries[0].err_mean < 5.25  # better than the zero solution
 
-    def test_csv_operator_matches_its_diagonal_twin(self, tmp_path):
-        # the SVD of a diagonal matrix holds signed unit vectors, so the
-        # basis path must reproduce the diagonal operator's study exactly
-        sigma = 1.0 / np.arange(1, 51)
-        path = tmp_path / "a.csv"
-        np.savetxt(path, np.diag(sigma), delimiter=",", fmt="%.17g")
-        dense = {"kind": "csv", "path": str(path)}
-        diagonal = {"kind": "diagonal", "singular_values": sigma.tolist()}
-        for overrides in (
-            {"rule": {"kind": "discrepancy", "tau1": 1.1, "tau2": 1.5}},
-            {},
-            {"solver": {"filter": "tsvd"}},
-        ):
-            runs = [run_study(filter_config(trials_per_eta=30, operator=op, **overrides))
-                    for op in (dense, diagonal)]
-            assert runs[0].trials == runs[1].trials
-            assert runs[0].summaries == runs[1].summaries
+    def test_discrepancy_rule_with_a_zero_singular_value(self):
+        # the kernel direction bounds the residual from below by |y_4|, about eta
+        cfg = filter_config(
+            trials_per_eta=30,
+            eta_grid=[0.01, 0.001],
+            operator={"kind": "diagonal", "singular_values": [1.0, 0.5, 0.25, 0.0]},
+            truth={"kind": "explicit", "values": [1.0, -1.0, 0.5, 2.0]},
+            rule={"kind": "discrepancy", "tau1": 1.1, "tau2": 1.5},
+        )
+        res = run_study(cfg)
+        for s in res.summaries:
+            assert s.flagged_count == 0
+            assert math.isfinite(s.alpha_or_kstar)
+        # the kernel component of the truth is lost, so no error falls below it
+        assert all(t.error >= 2.0 for t in res.trials)
 
 
 class TestAutoconvStudy:
@@ -481,11 +479,18 @@ class TestConfigValidation:
         # an integer too large for a double is not finite either
         ("filter", "eta_grid", [10**400, 1e-2],
          r"config.eta_grid\[\*\]: expected a finite number"),
+        # a linear operator is given by its singular values; no dense matrix is read
+        ("filter", "operator", {"kind": "csv", "path": "a.csv"}, "not usable in the filter study"),
     ])
     def test_study_mismatch_fails_at_parse(self, study, key, value, match):
         raw = dict(STUDY_CONFIGS[study], **{key: value})
         with pytest.raises(ConfigError, match=match):
             parse_config(raw)
+
+    def test_long_value_is_shortened_in_the_message(self):
+        with pytest.raises(ConfigError, match=r"config.eta_grid\[\*\]") as info:
+            parse_config(dict(STUDY_CONFIGS["filter"], eta_grid=[10**400, 1e-2]))
+        assert len(str(info.value)) < 200
 
     @pytest.mark.parametrize("study, key, value", [
         ("autoconv", "tol", 1e-6),
@@ -541,15 +546,21 @@ class TestConfigValidation:
             parse_config(yaml.safe_load(block))
 
     def test_readme_solver_keys_match_specs(self):
-        # the README's per-study table names exactly the solver keys each study takes
+        # the README's per-study table names exactly the operator, truth and
+        # rule kinds and the solver keys each study takes
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
         rows = {}
         for line in readme.splitlines():
             cells = [c.strip() for c in line.strip().strip("|").split("|")]
             if len(cells) == 5 and cells[0].strip("`") in _STUDY_SPECS:
+                kinds = [set(re.findall(r"`([\w-]+)`", cell)) for cell in cells[1:4]]
                 # a key is written `name` (default); "none" names no key
-                rows[cells[0].strip("`")] = set(re.findall(r"`([\w-]+)` \(", cells[4]))
-        assert rows == {study: set(spec["solver"]) for study, spec in _STUDY_SPECS.items()}
+                keys = set(re.findall(r"`([\w-]+)` \(", cells[4]))
+                rows[cells[0].strip("`")] = (*kinds, keys)
+        assert rows == {
+            study: (set(spec["operator"]), set(spec["truth"]), set(spec["rule"]), set(spec["solver"]))
+            for study, spec in _STUDY_SPECS.items()
+        }
 
 
 # One small config per study; the summaries below were computed by the

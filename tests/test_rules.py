@@ -105,13 +105,9 @@ class TestDiscrepancyAlpha:
 
     def test_infeasible_band(self):
         # data outside the range of the operator keeps the residual high
-        op = SvdOperator(
-            singular_values=np.array([1.0]),
-            left_basis=np.array([[1.0], [0.0]]),
-            right_basis=np.array([[1.0]]),
-        )
-        y = np.array([0.1, 1.0])  # perp component of norm 1 can never be fit
-        with pytest.raises(NoFeasibleAlpha):
+        op = SvdOperator.diagonal([1.0, 0.0])
+        y = np.array([0.1, 1.0])  # the kernel component of norm 1 can never be fit
+        with pytest.raises(NoFeasibleAlpha, match="minimal attainable residual"):
             discrepancy_alpha(op, y, 0.1, Discrepancy(1.1, 1.2))
 
     def test_postcondition_recomputed(self):
