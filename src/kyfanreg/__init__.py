@@ -74,7 +74,6 @@ from .rules import (
     DiscrepancyStop,
     Fixed,
     NoBracket,
-    NoFeasibleAlpha,
     NuEstimate,
     RatePrediction,
     TikhonovRateModel,

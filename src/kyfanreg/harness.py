@@ -9,15 +9,17 @@ mean chosen parameter.
 
 One driver, ``run_study``, owns the only loop over the eta grid: noise
 level, blocks of trials, summary.  A study supplies only what differs: its
-setup, its once-per-eta work and a block solve.  ``_trial_result`` records
-every trial.  The parsed config is known to suit the study.
+setup, its once-per-eta work and a block solve.  Every study solves the
+trials of an eta together, as (B, n) blocks of at most _BLOCK_DOUBLES
+doubles, and ``_trial_results`` records a block's trials.  The parsed
+config is known to suit the study.
 
 Determinism: every trial draws from a generator keyed by
-(seed, eta_index << 32 | trial), trials run serially in trial order, and
-summaries are reduced in trial order.  The autoconvolution and Besov
-studies solve the trials of an eta together, in blocks fixed by the grid
-size and the trial order, so their outputs repeat exactly as well; a Besov
-record does not depend on the block size at all.
+(seed, eta_index << 32 | trial), blocks are fixed by the grid size and the
+trial order, and summaries are reduced in trial order, so outputs repeat
+exactly.  A filter, Besov or nu-random record does not depend on the block
+size at all: their rules, filters and norms act row by row.  An autoconv
+record agrees with solving its trial alone up to roundoff.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .regularization import (
     Tikhonov,
     Tsvd,
     _row_norms,
+    _row_powers,
     filter_reconstruct,
     operator_norm_squared,
     prox_gradient_solve,
@@ -64,7 +67,6 @@ from .rules import (
     BesovBalanceParams,
     Fixed,
     NoBracket,
-    NoFeasibleAlpha,
     apriori_filter_alpha,
     besov_balance_alpha,
     discrepancy_alpha,
@@ -174,27 +176,33 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
     return StudyResult(study=cfg.study, summaries=tuple(summaries), trials=tuple(all_trials))
 
 
-def _each_trial(one_trial):
-    """A block solve that solves the trials of its block one at a time."""
-    return lambda block, rngs: list(map(one_trial, block, rngs))
+def _trial_results(cfg, eta, block, dlt, alphas, xs, truth, residuals, flagged=False,
+                   ratios=None) -> list:
+    """The records of a block of trials, one per row of the (B, n) solutions ``xs``.
 
-
-def _trial_result(cfg, eta, trial, dlt, alpha, x, truth, residual, flagged=False,
-                  ratio=None) -> TrialResult:
-    """One trial's record: its errors against ``truth``, truncation and flag."""
-    x_trunc = truncate_solution(x, cfg.caps.norm, cfg.caps.sup)
-    return TrialResult(
-        eta=eta,
-        trial=trial,
-        delta_eff=dlt,
-        alpha_or_kstar=alpha,
-        error=float(np.linalg.norm(x - truth)),
-        error_truncated=float(np.linalg.norm(x_trunc - truth)),
-        residual=residual,
-        truncated=not np.array_equal(x_trunc, x),
-        flagged=flagged,
-        ratio_delta2_alpha=ratio,
+    ``alphas``, ``residuals``, ``flagged`` and ``ratios`` hold one value per
+    trial, or one for the whole block; ``truth`` is one vector or one row
+    per trial.  Errors are taken against ``truth``, before and after the
+    truncation caps.
+    """
+    rows = len(block)
+    x_trunc = truncate_solution(xs, cfg.caps.norm, cfg.caps.sup)
+    columns = zip(
+        block,
+        np.broadcast_to(alphas, rows).tolist(),
+        _row_norms(xs - truth).tolist(),
+        _row_norms(x_trunc - truth).tolist(),
+        np.broadcast_to(residuals, rows).tolist(),
+        np.any(x_trunc != xs, axis=1).tolist(),
+        np.broadcast_to(flagged, rows).tolist(),
+        [None] * rows if ratios is None else np.broadcast_to(ratios, rows).tolist(),
     )
+    return [
+        TrialResult(eta=eta, trial=t, delta_eff=dlt, alpha_or_kstar=alpha, error=error,
+                    error_truncated=error_trunc, residual=residual, truncated=truncated,
+                    flagged=flag, ratio_delta2_alpha=ratio)
+        for t, alpha, error, error_trunc, residual, truncated, flag, ratio in columns
+    ]
 
 
 def _summarize(eta: float, dlt: float, trials: list, rate_theory) -> EtaSummary:
@@ -220,14 +228,11 @@ def _summarize(eta: float, dlt: float, trials: list, rate_theory) -> EtaSummary:
     )
 
 
-def _choose_alpha(cfg: ExperimentConfig, op, y_noisy, dlt):
-    rule = cfg.rule
-    if isinstance(rule, AprioriFilter):
-        return apriori_filter_alpha(dlt, rule), None
-    if isinstance(rule, Fixed):
-        return rule.alpha, None
-    result = discrepancy_alpha(op, y_noisy, dlt, rule)
-    return result.alpha, result
+# Trials solved together by every study: enough rows to spread numpy's
+# per-call cost, few enough that each (rows, m) array holds at most this
+# many doubles.  An autoconv solve keeps about twenty such arrays
+# alive; one 200-trial block per eta at m = 128 raised peak memory by 10%.
+_BLOCK_DOUBLES = 4096
 
 
 # -- filter study -------------------------------------------------------------
@@ -235,31 +240,34 @@ def _choose_alpha(cfg: ExperimentConfig, op, y_noisy, dlt):
 
 def _filter_study(cfg: ExperimentConfig):
     op = build_operator(cfg.operator)
+    n = op.size
     x_true = build_truth(cfg.truth, op)
     y_exact = op.apply(x_true)
     make_kind = Tikhonov if cfg.solver["filter"] == "tikhonov" else Tsvd
 
     def at_eta(eta, dlt):
-        def one_trial(t, rng):
-            y_noisy = y_exact + eta * rng.standard_normal(op.size)
-            flagged = False
-            try:
-                alpha, disc = _choose_alpha(cfg, op, y_noisy, dlt)
-            except NoFeasibleAlpha:
-                # inconsistent data/noise estimate: report the zero solution
-                alpha, disc, flagged = math.inf, None, True
-            if disc is not None:
-                x = disc.report.solution
-            elif math.isinf(alpha):
-                x = np.zeros(op.size)
-            else:
-                x = filter_reconstruct(op, y_noisy, make_kind(alpha))
-            residual = float(np.linalg.norm(op.apply(x) - y_noisy))
-            return _trial_result(cfg, eta, t, dlt, alpha, x, x_true, residual, flagged)
+        rule = cfg.rule
+        alpha = None  # the discrepancy rule chooses one per trial
+        if isinstance(rule, AprioriFilter):
+            alpha = apriori_filter_alpha(dlt, rule)
+        elif isinstance(rule, Fixed):
+            alpha = rule.alpha
 
-        return _each_trial(one_trial), None
+        def solve_block(block, rngs):
+            y_noisy = y_exact + eta * np.stack([rng.standard_normal(n) for rng in rngs])
+            if alpha is None:
+                disc = discrepancy_alpha(op, y_noisy, dlt, rule)
+                # an infeasible row has inconsistent data and noise level:
+                # it reports the zero solution, flagged
+                return _trial_results(cfg, eta, block, dlt, disc.alpha, disc.report.solution,
+                                      x_true, disc.report.final_residual, disc.infeasible)
+            x = filter_reconstruct(op, y_noisy, make_kind(alpha))
+            return _trial_results(cfg, eta, block, dlt, alpha, x, x_true,
+                                  _row_norms(op.singular_values * x - y_noisy))
 
-    return op.size, 1, at_eta
+        return solve_block, None
+
+    return n, max(1, _BLOCK_DOUBLES // n), at_eta
 
 
 # -- autoconvolution study ----------------------------------------------------
@@ -383,12 +391,6 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target, seed):
     return last_alpha, coeffs, residual, in_band
 
 
-# Trials solved together by the autoconv and besov studies: enough rows to
-# spread numpy's per-call cost, few enough that each (rows, m) array holds at
-# most this many doubles.  An autoconv solve keeps about twenty such arrays
-# alive; one 200-trial block per eta at m = 128 raised peak memory by 10%.
-_BLOCK_DOUBLES = 4096
-
 # The autoconv alpha search: a solve stops at step _TOL or after its budget,
 # _MAX_ITER doubling up to _MAX_BUDGET; a trial stops after _TOTAL_BUDGET
 # iterations or _MAX_ALPHA_STEPS alphas; steps are _STEP_SAFETY / Lipschitz.
@@ -417,23 +419,17 @@ def _autoconv_study(cfg: ExperimentConfig):
             alphas, coeffs, residuals, in_band = _alpha_continuation(
                 grid, haar, y_noisy[~trivial], lo_target, hi_target, cfg.seed,
             )
-            xs = coeffs @ haar
-            solved_row = np.cumsum(~trivial) - 1  # each trial's row among the solved ones
-            out = []
-            for row, t in enumerate(block):
-                if trivial[row]:
-                    out.append(_trial_result(
-                        cfg, eta, t, dlt, math.inf, np.zeros(m), x_true,
-                        float(np.linalg.norm(y_noisy[row])), ratio=0.0,
-                    ))
-                    continue
-                i = solved_row[row]
-                alpha = float(alphas[i])
-                out.append(_trial_result(
-                    cfg, eta, t, dlt, alpha, xs[i], x_true, float(residuals[i]),
-                    flagged=not in_band[i], ratio=dlt**2 / alpha,
-                ))
-            return out
+            alpha = np.full(len(block), math.inf)
+            alpha[~trivial] = alphas
+            x = np.zeros_like(y_noisy)
+            x[~trivial] = coeffs @ haar
+            residual = _row_norms(y_noisy)
+            residual[~trivial] = residuals
+            flagged = np.zeros(len(block), dtype=bool)
+            flagged[~trivial] = ~in_band
+            # a trivial trial's ratio delta^2 / inf is 0
+            return _trial_results(cfg, eta, block, dlt, alpha, x, x_true, residual, flagged,
+                                  ratios=dlt**2 / alpha)
 
         return solve_block, None
 
@@ -488,9 +484,8 @@ def _besov_study(cfg: ExperimentConfig):
             else:
                 # diagonal operator: the weighted-lp minimizer separates per coefficient
                 c = prox_weighted_lp(y_noisy / sigma, alpha * bw.weights / (2.0 * sigma**2), p)
-            residuals = _row_norms(sigma * c - y_noisy)
-            return [_trial_result(cfg, eta, t, dlt, alpha, x, c_true, float(r), balance_failed)
-                    for t, x, r in zip(block, c, residuals)]
+            return _trial_results(cfg, eta, block, dlt, alpha, c, c_true,
+                                  _row_norms(sigma * c - y_noisy), balance_failed)
 
         return solve_block, None
 
@@ -501,26 +496,38 @@ def _besov_study(cfg: ExperimentConfig):
 
 
 def _landweber_stop_index(q2: np.ndarray, y_sq: np.ndarray, threshold: float, kmax: int):
-    # the first k <= kmax with residual <= threshold, or None if there is none;
-    # residual^2 after k steps is sum q_n^(2k) y_n^2, monotone decreasing in k
-    def res_sq(k):
-        return float(np.sum(q2**k * y_sq))
+    """Each row's first k <= kmax with residual <= threshold, and whether it has one.
 
+    Row i's residual^2 after k steps is sum_n q2_n^k y_sq[i, n], monotone
+    decreasing in k.  The search doubles k until a row's residual meets the
+    threshold, then bisects between the last two k; a row that never meets
+    it by kmax gets kmax and is reported unreached.
+    """
     thr_sq = threshold * threshold
-    if res_sq(0) <= thr_sq:
-        return 0
-    lo, hi = 0, 1  # res_sq(lo) > thr_sq throughout
-    while res_sq(hi) > thr_sq:
-        if hi >= kmax:
-            return None
-        lo, hi = hi, min(2 * hi, kmax)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if res_sq(mid) > thr_sq:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    rows = y_sq.shape[0]
+    lo = np.zeros(rows, dtype=int)  # residual above the threshold at lo, unless hi = 0
+    hi = np.zeros(rows, dtype=int)
+    reached = np.sum(y_sq, axis=1) <= thr_sq
+    # doubling: every searching row is at the same k, a scalar power
+    searching = np.flatnonzero(~reached)
+    k_prev, k = 0, 1
+    while searching.size:
+        met = np.sum(q2**k * y_sq[searching], axis=1) <= thr_sq
+        lo[searching], hi[searching] = k_prev, k
+        reached[searching[met]] = True
+        if k >= kmax:
+            break
+        searching = searching[~met]
+        k_prev, k = k, min(2 * k, kmax)
+    # bisection: each row between its own lo and hi, so one power per row
+    open_ = np.flatnonzero(reached & (hi - lo > 1))
+    while open_.size:
+        mid = (lo[open_] + hi[open_]) // 2
+        above = np.sum(_row_powers(q2, mid) * y_sq[open_], axis=1) > thr_sq
+        lo[open_[above]] = mid[above]
+        hi[open_[~above]] = mid[~above]
+        open_ = open_[hi[open_] - lo[open_] > 1]
+    return np.where(reached, hi, kmax), reached
 
 
 def _nu_random_study(cfg: ExperimentConfig):
@@ -534,26 +541,23 @@ def _nu_random_study(cfg: ExperimentConfig):
     q2 = q * q
 
     def at_eta(eta, dlt):
-        def one_trial(t, rng):
-            nu = rng.uniform(0.0, 0.5)  # before the noise: the draw order fixes the data
-            x_true = sigma ** (2.0 * nu) * v
-            y_noisy = sigma * x_true + eta * rng.standard_normal(m)
-            k_star = _landweber_stop_index(q2, y_noisy * y_noisy, cfg.rule.tau_hat * dlt, kmax)
-            flagged = k_star is None
-            if flagged:
-                k_star = kmax
-            if k_star == 0:
-                x = np.zeros(m)
-            else:
-                x = filter_reconstruct(op, y_noisy, LandweberFilter(k_star, gamma))
-            residual = float(np.linalg.norm(sigma * x - y_noisy))
-            return _trial_result(cfg, eta, t, dlt, float(k_star), x, x_true, residual, flagged)
+        def solve_block(block, rngs):
+            # each trial draws its exponent before its noise: the draw order fixes the data
+            two_nu = 2.0 * np.array([rng.uniform(0.0, 0.5) for rng in rngs])
+            noise = np.stack([rng.standard_normal(m) for rng in rngs])
+            x_true = _row_powers(sigma, two_nu) * v
+            y_noisy = sigma * x_true + eta * noise
+            k_star, reached = _landweber_stop_index(
+                q2, y_noisy * y_noisy, cfg.rule.tau_hat * dlt, kmax)
+            x = filter_reconstruct(op, y_noisy, LandweberFilter(k_star, gamma))
+            return _trial_results(cfg, eta, block, dlt, k_star.astype(float), x, x_true,
+                                  _row_norms(sigma * x - y_noisy), ~reached)
 
         # the lifted rate W(-log delta) / (-log delta) is twice the W approximation of nu
         rate_theory = 2.0 * nu_effective(dlt).nu_approx if 0.0 < dlt < 1.0 else None
-        return _each_trial(one_trial), rate_theory
+        return solve_block, rate_theory
 
-    return m, 1, at_eta
+    return m, max(1, _BLOCK_DOUBLES // m), at_eta
 
 
 _STUDIES = {

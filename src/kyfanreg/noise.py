@@ -224,12 +224,13 @@ def delta_eff(spec: NoiseSpec, mode: KyFanBound | InflatedExpectation) -> float:
 def truncate_solution(x: np.ndarray, norm_cap: float, sup_cap: float) -> np.ndarray:
     """Zero out solutions exceeding a priori caps (keeps expectations finite).
 
-    Returns x unchanged when ||x||_2 <= norm_cap and max|x_i| <= sup_cap,
-    and the zero vector otherwise.
+    ``x`` is one solution or a (B, n) block of them, one per row.  A row is
+    kept when ||x||_2 <= norm_cap and max|x_i| <= sup_cap, and zeroed
+    otherwise.
     """
     if not (norm_cap > 0.0 and sup_cap > 0.0):
         raise ValueError("caps must be positive")
     x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) <= norm_cap and (x.size == 0 or np.max(np.abs(x)) <= sup_cap):
-        return x
-    return np.zeros_like(x)
+    norms = np.sqrt(np.einsum("...i,...i->...", x, x))
+    keep = (norms <= norm_cap) & (np.max(np.abs(x), axis=-1, initial=0.0) <= sup_cap)
+    return np.where(keep[..., np.newaxis], x, 0.0)

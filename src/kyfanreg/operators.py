@@ -54,7 +54,9 @@ class SvdOperator:
     singular_values: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.singular_values, dtype=float)
+        # contiguous: numpy may pick a different kernel for a strided view,
+        # and a row of a block would then depend on the block's size
+        s = np.ascontiguousarray(self.singular_values, dtype=float)
         if s.ndim != 1 or s.size == 0:
             raise ValueError("singular_values must be a non-empty 1-d array")
         if not np.all(np.isfinite(s)):

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import trial_rng
-from .operators import _as_vector
 
 __all__ = [
     "Tikhonov",
@@ -38,12 +37,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tikhonov:
-    """Filter sigma^2 / (sigma^2 + alpha)."""
+    """Filter sigma^2 / (sigma^2 + alpha); alpha is a scalar or one per row."""
 
-    alpha: float
+    alpha: float | np.ndarray
 
     def __post_init__(self):
-        if not (self.alpha > 0.0):
+        if not np.all(np.asarray(self.alpha) > 0.0):
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
 
 
@@ -51,10 +50,10 @@ class Tikhonov:
 class Tsvd:
     """Truncation filter: 1 when sigma^2 >= alpha, else 0 (boundary kept)."""
 
-    alpha: float
+    alpha: float | np.ndarray
 
     def __post_init__(self):
-        if not (self.alpha > 0.0):
+        if not np.all(np.asarray(self.alpha) > 0.0):
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
 
 
@@ -62,16 +61,18 @@ class Tsvd:
 class LandweberFilter:
     """Filter 1 - (1 - gamma sigma^2)^k after k linear Landweber steps.
 
-    Requires gamma * sigma_1^2 <= 1 (contraction); checked where sigma_1
-    is known, i.e. at reconstruction time.
+    ``k`` is a nonnegative integer or one per row; k = 0 is the zero
+    filter.  Requires gamma * sigma_1^2 <= 1 (contraction); checked where
+    sigma_1 is known, i.e. at reconstruction time.
     """
 
-    k: int
+    k: int | np.ndarray
     gamma: float
 
     def __post_init__(self):
-        if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
-            raise ValueError(f"k must be a positive integer, got {self.k!r}")
+        k = np.asarray(self.k)
+        if not (np.issubdtype(k.dtype, np.integer) and np.all(k >= 0)):
+            raise ValueError(f"k must be a nonnegative integer, got {self.k!r}")
         if not (self.gamma > 0.0):
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")
 
@@ -81,13 +82,14 @@ class SolveReport:
     """Outcome of a solver run; final_residual is ||forward(solution) - data||.
 
     A prox-gradient solve reports (B,) arrays of final residuals,
-    per-row iteration counts and convergence flags; ``iterations`` is then
-    the total over rows.
+    per-row iteration counts and convergence flags, and a discrepancy
+    search its final residuals and per-row evaluation counts;
+    ``iterations`` is then the total over rows.
     """
 
     solution: np.ndarray
     iterations: int
-    final_residual: float
+    final_residual: float | np.ndarray
     objective_trace: tuple = ()
     row_iterations: np.ndarray | None = None
     converged: np.ndarray | None = None
@@ -101,34 +103,60 @@ class NonConvergence(RuntimeError):
         self.report = report
 
 
+def _per_row_column(param) -> np.ndarray:
+    # a scalar parameter as it is, and one per row as a (B, 1) column
+    param = np.asarray(param, dtype=float)
+    return param[:, np.newaxis] if param.ndim else param
+
+
+def _row_powers(base: np.ndarray, exponents) -> np.ndarray:
+    # base ** e, one row per exponent e (or base ** e for a scalar e).  The
+    # exponents are spread to a full array: numpy squares where a broadcast
+    # exponent is 2 but not where an array holds it, so a row would
+    # otherwise depend on the rows around it
+    e = _per_row_column(exponents)
+    return np.power(base, np.broadcast_to(e, np.broadcast(base, e).shape).copy())
+
+
 def filter_value(kind, sigma):
-    """Filter factor F(sigma) in [0, 1]; accepts scalars or arrays."""
+    """Filter factor F(sigma) in [0, 1]; accepts scalars or arrays.
+
+    A kind with one parameter per row, a (B,) alpha or k, gives one row of
+    factors per parameter: a (B, n) block for n values of sigma.
+    """
     sigma = np.asarray(sigma, dtype=float)
     if np.any(sigma <= 0.0):
         raise ValueError("filter_value requires sigma > 0")
     s2 = sigma * sigma
     if isinstance(kind, Tikhonov):
-        out = s2 / (s2 + kind.alpha)
+        out = s2 / (s2 + _per_row_column(kind.alpha))
     elif isinstance(kind, Tsvd):
-        out = np.where(s2 >= kind.alpha, 1.0, 0.0)
+        out = np.where(s2 >= _per_row_column(kind.alpha), 1.0, 0.0)
     elif isinstance(kind, LandweberFilter):
-        out = 1.0 - (1.0 - kind.gamma * s2) ** kind.k
+        out = 1.0 - _row_powers(1.0 - kind.gamma * s2, kind.k)
     else:
         raise TypeError(f"unknown filter kind {kind!r}")
     return out if out.ndim else float(out)
 
 
 def filter_reconstruct(op, y, kind) -> np.ndarray:
-    """Filtered generalized inverse F(sigma)/sigma * y where sigma > 0, else 0."""
+    """Filtered generalized inverse F(sigma)/sigma * y where sigma > 0, else 0.
+
+    ``y`` is one data vector or a (B, n) block of them; a kind with one
+    parameter per row needs the block.  Each row is filtered alone, so a
+    row's result does not depend on the rows around it.
+    """
     s = op.singular_values
     if isinstance(kind, LandweberFilter) and kind.gamma * s[0] ** 2 > 1.0 + 1e-12:
         raise ValueError(
             f"Landweber filter not contractive: gamma*sigma_1^2 = {kind.gamma * s[0]**2:.3g} > 1"
         )
-    y = _as_vector(y, s.size, "data vector")
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2) or y.shape[-1] != s.size:
+        raise ValueError(f"data: expected rows of length {s.size}, got shape {y.shape}")
     out = np.zeros_like(y)
     pos = s > 0.0
-    out[pos] = filter_value(kind, s[pos]) / s[pos] * y[pos]
+    out[..., pos] = filter_value(kind, s[pos]) / s[pos] * y[..., pos]
     return out
 
 

@@ -2,12 +2,13 @@
 
 Contains the a priori filter rule alpha = C (delta/rho)^(1/(beta(nu+1))),
 the discrepancy principle for continuous alpha (Tikhonov filter, bisection
-on the monotone residual), the balancing equation for weighted-lp (Besov)
-penalties, the inf-max stochastic Tikhonov rate predictor, and the
-effective smoothness exponent solved from rho^(2 nu / (2 nu + 1)) = 2 nu
-together with its Lambert-W approximation.  Iteration stopping by the
-discrepancy principle is the nu-random study's Landweber stop search,
-``harness._landweber_stop_index``.
+on the monotone residual, run on every row of a (B, n) data block at once
+and reporting each row trivial, infeasible or in the band), the balancing
+equation for weighted-lp (Besov) penalties, the inf-max stochastic
+Tikhonov rate predictor, and the effective smoothness exponent solved from
+rho^(2 nu / (2 nu + 1)) = 2 nu together with its Lambert-W approximation.
+Iteration stopping by the discrepancy principle is the nu-random study's
+batched Landweber stop search, ``harness._landweber_stop_index``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .noise import _log_term
-from .operators import _as_vector
-from .regularization import SolveReport, Tikhonov, filter_reconstruct
+from .regularization import SolveReport, Tikhonov, _row_norms, filter_reconstruct
 from .special import lambert_w0, reg_gamma_q
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "DiscrepancyStop",
     "Fixed",
     "DiscrepancyResult",
-    "NoFeasibleAlpha",
     "NoBracket",
     "BesovBalanceParams",
     "BesovBalanceResult",
@@ -104,10 +103,6 @@ class Fixed:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
 
 
-class NoFeasibleAlpha(RuntimeError):
-    """No alpha can place the residual inside the discrepancy band."""
-
-
 class NoBracket(RuntimeError):
     """The balancing equation shows no sign change on the scan grid."""
 
@@ -129,84 +124,102 @@ def apriori_filter_alpha(delta_eff: float, rule: AprioriFilter) -> float:
 
 @dataclass(frozen=True)
 class DiscrepancyResult:
-    alpha: float
+    """Per-row outcome of :func:`discrepancy_alpha` on a (B, n) block.
+
+    ``alpha`` is inf on a trivial or infeasible row, whose solution is 0;
+    every other row ended in the band.  ``report.row_iterations`` counts
+    each row's residual evaluations and ``report.iterations`` their sum.
+    """
+
+    alpha: np.ndarray
     report: SolveReport
-    trivial: bool = False
+    trivial: np.ndarray
+    infeasible: np.ndarray
 
 
-def _tikhonov_residual_norm(s: np.ndarray, y: np.ndarray, alpha: float) -> float:
-    factor = alpha / (s * s + alpha)  # alpha > 0: sigma = 0 components stay in full
-    return math.sqrt(float(np.sum((factor * y) ** 2)))
+def _tikhonov_residual_norm(s2: np.ndarray, y: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    # each row's residual at its own alpha > 0 (sigma = 0 components stay in full)
+    factor = alpha[:, np.newaxis] / (s2 + alpha[:, np.newaxis])
+    return np.sqrt(np.sum((factor * y) ** 2, axis=1))
 
 
 def discrepancy_alpha(op, y, delta_eff: float, rule: Discrepancy) -> DiscrepancyResult:
     """Choose alpha with tau1*delta <= ||A x_alpha - y|| <= tau2*delta (Tikhonov).
 
-    The Tikhonov residual is continuous and non-decreasing in alpha, so a
-    bisection on log(alpha) is exact.  Data with ||y|| <= tau1*delta is
-    trivial: the zero solution already satisfies the bound and the sentinel
-    alpha = inf is returned.  As alpha -> 0 the residual falls to the norm
-    of the data on the zero singular values; if that floor exceeds
-    tau2*delta the data and noise level are inconsistent
-    (:class:`NoFeasibleAlpha`).
+    ``y`` is a (B, n) block, and each row gets its own alpha.  The Tikhonov
+    residual is continuous and non-decreasing in alpha, so a bisection on
+    log(alpha) is exact: a bracket sweep by factors of 10 from sigma_1^2,
+    then bisection to the band, on all rows at once.  A row with
+    ||y|| <= tau1*delta is trivial: the zero solution already satisfies the
+    bound.  As alpha -> 0 the residual falls to the norm of the data on the
+    zero singular values; a row whose floor exceeds tau2*delta, whose
+    residual stays above the band down to alpha = 1e-300, or whose
+    bisection collapses onto a residual outside a zero-width band
+    (tau1 == tau2) is infeasible: its data and noise level are
+    inconsistent.  Both give alpha = inf.
     """
     if not (delta_eff > 0.0):
         raise ValueError(f"delta_eff must be positive, got {delta_eff!r}")
     s = op.singular_values
-    y = _as_vector(y, s.size, "data vector")
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2 or y.shape[1] != s.size:
+        raise ValueError(f"data: expected a (B, {s.size}) block, got shape {y.shape}")
+    s2 = s * s
     lo_target = rule.tau1 * delta_eff
     hi_target = rule.tau2 * delta_eff
-    norm_y = float(np.linalg.norm(y))
-    if norm_y <= lo_target:
-        report = SolveReport(solution=np.zeros(s.size), iterations=0, final_residual=norm_y)
-        return DiscrepancyResult(alpha=math.inf, report=report, trivial=True)
+    rows = y.shape[0]
+    trivial = _row_norms(y) <= lo_target
+    infeasible = ~trivial & (_row_norms(y[:, s == 0.0]) > hi_target)
+    evals = np.zeros(rows, dtype=int)
 
-    residual_floor = float(np.linalg.norm(y[s == 0.0]))
-    if residual_floor > hi_target:
-        raise NoFeasibleAlpha(
-            f"minimal attainable residual {residual_floor:.6g} exceeds "
-            f"tau2*delta_eff = {hi_target:.6g}"
-        )
-
+    work = np.flatnonzero(~trivial & ~infeasible)
     scale = max(float(s[0]) ** 2, 1e-30)
-    hi = scale
-    evals = 1
-    while _tikhonov_residual_norm(s, y, hi) < lo_target:
-        hi *= 10.0
-        evals += 1
-        if hi > 1e300:
-            break
-    lo = min(hi, scale * 1e-12)
-    while _tikhonov_residual_norm(s, y, lo) > hi_target:
-        lo /= 10.0
-        evals += 1
-        if lo < 1e-300:
-            raise NoFeasibleAlpha("residual stays above the band down to alpha = 1e-300")
+    hi = np.full(rows, scale)
+    evals[work] = 1
+    sweep = work
+    while sweep.size:
+        sweep = sweep[_tikhonov_residual_norm(s2, y[sweep], hi[sweep]) < lo_target]
+        hi[sweep] *= 10.0
+        evals[sweep] += 1
+        sweep = sweep[hi[sweep] <= 1e300]
+    lo = np.minimum(hi, scale * 1e-12)
+    sweep = work
+    while sweep.size:
+        sweep = sweep[_tikhonov_residual_norm(s2, y[sweep], lo[sweep]) > hi_target]
+        lo[sweep] /= 10.0
+        evals[sweep] += 1
+        infeasible[sweep[lo[sweep] < 1e-300]] = True
+        sweep = sweep[lo[sweep] >= 1e-300]
 
-    alpha = hi
+    alpha = np.full(rows, math.inf)
+    active = work[~infeasible[work]]
     for _ in range(500):
-        alpha = math.sqrt(lo * hi)
-        res = _tikhonov_residual_norm(s, y, alpha)
-        evals += 1
-        if res < lo_target:
-            lo = alpha
-        elif res > hi_target:
-            hi = alpha
-        else:
+        if not active.size:
             break
-        if hi / lo < 1.0 + 1e-14:
-            # zero-width band (tau1 == tau2): accept the bisection limit
-            res = _tikhonov_residual_norm(s, y, alpha)
-            if not (lo_target * (1.0 - 1e-9) <= res <= hi_target * (1.0 + 1e-9)):
-                raise NoFeasibleAlpha(
-                    f"bisection collapsed at alpha={alpha:.6g} with residual {res:.6g} "
-                    f"outside [{lo_target:.6g}, {hi_target:.6g}]"
-                )
-            break
-    solution = filter_reconstruct(op, y, Tikhonov(alpha))
-    final_res = float(np.linalg.norm(op.apply(solution) - y))
-    report = SolveReport(solution=solution, iterations=evals, final_residual=final_res)
-    return DiscrepancyResult(alpha=alpha, report=report)
+        a = np.sqrt(lo[active] * hi[active])
+        alpha[active] = a
+        res = _tikhonov_residual_norm(s2, y[active], a)
+        evals[active] += 1
+        below, above = res < lo_target, res > hi_target
+        lo[active[below]] = a[below]
+        hi[active[above]] = a[above]
+        # zero-width band (tau1 == tau2): accept the bisection limit if its
+        # residual lies in the band to roundoff
+        moving = below | above
+        collapsed = moving & (hi[active] / lo[active] < 1.0 + 1e-14)
+        in_band = (lo_target * (1.0 - 1e-9) <= res) & (res <= hi_target * (1.0 + 1e-9))
+        infeasible[active[collapsed & ~in_band]] = True
+        active = active[moving & ~collapsed]
+    alpha[infeasible] = math.inf
+
+    solution = np.zeros_like(y)
+    solved = np.isfinite(alpha)
+    solution[solved] = filter_reconstruct(op, y[solved], Tikhonov(alpha[solved]))
+    report = SolveReport(
+        solution=solution, iterations=int(evals.sum()),
+        final_residual=_row_norms(s * solution - y), row_iterations=evals,
+    )
+    return DiscrepancyResult(alpha=alpha, report=report, trivial=trivial, infeasible=infeasible)
 
 
 # -- balancing rule for the weighted-lp penalty ------------------------------

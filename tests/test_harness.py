@@ -242,6 +242,40 @@ class TestFilterStudy:
         # the kernel component of the truth is lost, so no error falls below it
         assert all(t.error >= 2.0 for t in res.trials)
 
+    @pytest.mark.parametrize("rule", [
+        {"kind": "discrepancy", "tau1": 1.1, "tau2": 1.5},
+        {"kind": "apriori", "beta": 0.5, "nu": 1.0, "rho": 5.25, "constant": 1.575},
+    ])
+    def test_blocks_match_one_trial_at_a_time(self, monkeypatch, rule):
+        # a sup cap under the truth's largest entry truncates most trials
+        cfg = parse_config(dict(STUDY_CONFIGS["filter"], eta_grid=[0.1, 1e-2, 1e-3], rule=rule,
+                                caps={"norm": 6.0, "sup": 2.0}))
+        together = run_study(cfg)  # blocks of 20 trials at n = 200
+        monkeypatch.setattr(harness, "_BLOCK_DOUBLES", 200)  # one trial per block
+        alone = run_study(cfg)
+        assert any(t.truncated for t in together.trials)
+        assert together.trials == alone.trials
+        assert together.summaries == alone.summaries
+
+    def test_infeasible_trials_are_flagged_in_their_block(self, monkeypatch):
+        # three zero singular values: a trial whose noise on them exceeds
+        # tau2 * delta can fit no residual into the band, and reports the
+        # zero solution, flagged, beside the trials that do
+        cfg = filter_config(
+            eta_grid=[0.1, 0.01], trials_per_eta=30,
+            operator={"kind": "diagonal", "singular_values": [1.0, 0.0, 0.0, 0.0]},
+            truth={"kind": "explicit", "values": [1.0, -1.0, 0.5, 2.0]},
+            rule={"kind": "discrepancy", "tau1": 1.1, "tau2": 1.2},
+            noise_level={"mode": "inflated-expectation", "tau": {"kind": "constant", "value": 1.01}},
+        )
+        together = run_study(cfg)
+        flagged = [t for t in together.trials if t.flagged]
+        assert flagged and len(flagged) < len(together.trials)
+        assert all(math.isinf(t.alpha_or_kstar) for t in flagged)
+        assert all(t.error == pytest.approx(2.5) for t in flagged)  # the truth's norm
+        monkeypatch.setattr(harness, "_BLOCK_DOUBLES", 4)  # one trial per block
+        assert run_study(cfg).trials == together.trials
+
 
 class TestAutoconvStudy:
     def test_repeat_runs_are_identical(self):
@@ -343,29 +377,55 @@ class TestNuRandomStudy:
             assert s.rate_theory is not None and s.rate_theory > 0.0
             assert s.alpha_or_kstar >= 0.0
 
+    @pytest.mark.parametrize("kmax, operator", [
+        (2, {"kind": "diagonal-powerlaw", "size": 50, "decay": 1.0}),
+        (10**7, {"kind": "haar-diagonal", "levels": 5, "decay": 1.0}),
+    ])
+    def test_blocks_match_one_trial_at_a_time(self, monkeypatch, kmax, operator):
+        # eta = 1e-1 stops trials at k = 0, kmax = 2 stops the trials at
+        # eta = 1e-3 short of the threshold, and the caps truncate
+        cfg = parse_config(dict(STUDY_CONFIGS["nu-random"], eta_grid=[1e-1, 1e-2, 1e-3],
+                                caps={"norm": 0.4, "sup": 0.4}, operator=operator,
+                                solver={"kmax": kmax}))
+        together = run_study(cfg)
+        monkeypatch.setattr(harness, "_BLOCK_DOUBLES", 1)  # one trial per block
+        alone = run_study(cfg)
+        assert any(t.flagged for t in together.trials) == (kmax == 2)
+        assert any(t.alpha_or_kstar == 0.0 for t in together.trials)
+        assert any(t.truncated for t in together.trials)
+        assert together.trials == alone.trials
+        assert together.summaries == alone.summaries
+
 
 class TestLandweberStopIndex:
     # residual^2 after k steps is 0.25^k: it first reaches 0.03 at k = 3,
     # which a search over powers of two alone misses when kmax = 3
-    @example([(0.25, 1.0)], math.sqrt(0.03), 3)
-    @example([(0.25, 1.0)], math.sqrt(0.03), 2)
+    @example([(0.25, 1.0)], math.sqrt(0.03), 3, [])
+    @example([(0.25, 1.0)], math.sqrt(0.03), 2, [])
     # the start already meets the threshold, and a threshold never reached
-    @example([(0.5, 1.0)], 2.0, 4)
-    @example([(0.99, 10.0)], 1e-3, 3)
+    @example([(0.5, 1.0)], 2.0, 4, [])
+    @example([(0.99, 10.0)], 1e-3, 3, [])
+    # one block with a row met at the start, one bisected and one never met
+    @example([(0.25, 1.0)], math.sqrt(0.03), 3, [[0.01] * 5, [100.0] * 5])
     @given(
         st.lists(st.tuples(st.floats(0.0, 0.99), st.floats(0.0, 10.0)), min_size=1, max_size=5),
         st.floats(1e-3, 10.0),
         st.integers(1, 64),
+        st.lists(st.lists(st.floats(0.0, 10.0), min_size=5, max_size=5), max_size=4),
     )
     @settings(max_examples=200, deadline=None)
-    def test_matches_brute_force(self, pairs, threshold, kmax):
+    def test_matches_brute_force(self, pairs, threshold, kmax, more_rows):
+        # a (B, n) block: the drawn row, then more rows on the same q2
         q2, y_sq = (np.array(column) for column in zip(*pairs))
-        brute = next(
-            (k for k in range(kmax + 1)
-             if float(np.sum(q2**k * y_sq)) <= threshold * threshold),
-            None,
-        )
-        assert harness._landweber_stop_index(q2, y_sq, threshold, kmax) == brute
+        block = np.array([y_sq] + [row[:q2.size] for row in more_rows])
+        k_star, reached = harness._landweber_stop_index(q2, block, threshold, kmax)
+        for row, k, met in zip(block, k_star, reached):
+            brute = next(
+                (j for j in range(kmax + 1)
+                 if float(np.sum(q2**j * row)) <= threshold * threshold),
+                None,
+            )
+            assert (k, met) == ((kmax, False) if brute is None else (brute, True))
 
 
 class TestConfigValidation:
@@ -414,7 +474,7 @@ class TestConfigValidation:
             filter_config(trials_per_eta=10)
 
     def test_workers_key_rejected(self):
-        # trials run serially: a worker count would set nothing
+        # trials run in one process: a worker count would set nothing
         with pytest.raises(ConfigError, match="unknown key.*workers"):
             filter_config(workers=4)
 

@@ -7,9 +7,13 @@ breaks either fails here rather than only when the benchmark runs.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import kyfanreg
+from kyfanreg.config import parse_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -42,3 +46,20 @@ def test_workload_operations_build(perfbench, workload):
     _, workloads = perfbench
     ops = workloads.ops(workload, workloads.setup(workload, 7))
     assert ops and all(callable(op.run) and callable(op.check) for op in ops)
+
+
+def test_linear_studies_call_the_traced_names(perfbench):
+    # a study that reaches the rule, the filter or the generator by another
+    # name than the wrapped one would read 0 in its layer metrics
+    from test_harness import STUDY_CONFIGS
+
+    tracing, _ = perfbench
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        for study in ("filter", "nu-random"):
+            kyfanreg.run_study(parse_config(STUDY_CONFIGS[study]))
+    calls = Counter(name for name, *_ in tracer.spans)
+    for (_, name), (count, _) in tracer.leaves.items():
+        calls[name] += count
+    assert all(calls[name] for name in ("discrepancy_alpha", "filter_reconstruct", "trial_rng"))
+    assert tracing.round_metrics(tracer)["rules.discrepancy_evals"] > 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kyfanreg.harness import fit_rate
 from kyfanreg.operators import SvdOperator
@@ -13,7 +15,6 @@ from kyfanreg.rules import (
     DiscrepancyStop,
     Fixed,
     NoBracket,
-    NoFeasibleAlpha,
     TikhonovRateModel,
     apriori_filter_alpha,
     besov_balance_alpha,
@@ -75,40 +76,118 @@ class TestAprioriRule:
             )
 
 
+def _reference_alpha(s, y, lo_target, hi_target):
+    """The discrepancy rule on one data vector, one residual at a time.
+
+    This is the scalar log-bisection that ``discrepancy_alpha`` runs on
+    every row of a block at once.  It returns alpha, the residual
+    evaluations as the rule counts them, and the outcome: "trivial",
+    "infeasible" or "in-band".
+    """
+    def residual(alpha):
+        factor = alpha / (s * s + alpha)
+        return math.sqrt(float(np.sum((factor * y) ** 2)))
+
+    if float(np.linalg.norm(y)) <= lo_target:
+        return math.inf, 0, "trivial"
+    if float(np.linalg.norm(y[s == 0.0])) > hi_target:
+        return math.inf, 0, "infeasible"
+    scale = max(float(s[0]) ** 2, 1e-30)
+    hi, evals = scale, 1
+    while residual(hi) < lo_target:
+        hi *= 10.0
+        evals += 1
+        if hi > 1e300:
+            break
+    lo = min(hi, scale * 1e-12)
+    while residual(lo) > hi_target:
+        lo /= 10.0
+        evals += 1
+        if lo < 1e-300:
+            return math.inf, evals, "infeasible"
+    for _ in range(500):
+        alpha = math.sqrt(lo * hi)
+        res = residual(alpha)
+        evals += 1
+        if res < lo_target:
+            lo = alpha
+        elif res > hi_target:
+            hi = alpha
+        else:
+            break
+        if hi / lo < 1.0 + 1e-14:
+            # zero-width band: the bisection limit must hold the residual
+            if not (lo_target * (1.0 - 1e-9) <= res <= hi_target * (1.0 + 1e-9)):
+                return math.inf, evals, "infeasible"
+            break
+    return alpha, evals, "in-band"
+
+
+@st.composite
+def _discrepancy_blocks(draw):
+    """An operator, a (B, n) data block, a noise level and a band.
+
+    Row scales span four decades around the band, so trivial rows occur,
+    and singular values span eight, so that the bracket sweeps run both
+    ways; a zero singular value puts a floor under the residual,
+    infeasible when its data entry is large; and tau1 == tau2 is drawn half
+    of the time.
+    """
+    n = draw(st.integers(min_value=1, max_value=8))
+    rows = draw(st.integers(min_value=1, max_value=6))
+    gen = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    s = np.sort(10.0 ** gen.uniform(-8.0, 0.3, n))[::-1]
+    if draw(st.booleans()):
+        s[-1] = 0.0
+    y = gen.standard_normal((rows, n)) * 10.0 ** gen.uniform(-3.0, 1.0, (rows, 1))
+    delta = 10.0 ** gen.uniform(-2.0, 0.0)
+    tau1 = 1.0 + 10.0 ** gen.uniform(-3.0, 0.0)
+    tau2 = tau1 if draw(st.booleans()) else tau1 * (1.0 + 10.0 ** gen.uniform(-3.0, 0.0))
+    return SvdOperator.diagonal(s), y, delta, Discrepancy(tau1, tau2)
+
+
 class TestDiscrepancyAlpha:
     def test_hand_computed_scalar_case(self):
         # Tikhonov residual on sigma=1, y=1 is alpha/(1+alpha): 0.5 at alpha=1
         op = SvdOperator.diagonal([1.0])
         rule = Discrepancy(tau1=1.1, tau2=1.2)
         delta = 0.5 / 1.15  # places 0.5 inside the band
-        result = discrepancy_alpha(op, [1.0], delta, rule)
-        res = result.report.final_residual
+        result = discrepancy_alpha(op, [[1.0]], delta, rule)
+        res = result.report.final_residual[0]
         assert rule.tau1 * delta <= res <= rule.tau2 * delta
         # band maps to alpha in [tau1*d/(1-tau1*d), tau2*d/(1-tau2*d)]
         lo = rule.tau1 * delta / (1.0 - rule.tau1 * delta)
         hi = rule.tau2 * delta / (1.0 - rule.tau2 * delta)
-        assert lo <= result.alpha <= hi
+        assert lo <= result.alpha[0] <= hi
 
     def test_trivial_data(self):
         op = SvdOperator.diagonal([1.0, 0.5])
-        result = discrepancy_alpha(op, [0.0, 0.0], 0.1, Discrepancy(1.1, 1.3))
-        assert result.trivial
-        assert math.isinf(result.alpha)
+        result = discrepancy_alpha(op, [[0.0, 0.0]], 0.1, Discrepancy(1.1, 1.3))
+        assert result.trivial[0] and not result.infeasible[0]
+        assert math.isinf(result.alpha[0])
         assert np.allclose(result.report.solution, 0.0)
+        assert result.report.iterations == 0
 
     def test_small_delta_recovers_generalized_inverse(self):
         op = SvdOperator.diagonal([1.0, 0.5, 0.25])
         x_true = np.array([1.0, -2.0, 0.5])
         y = op.apply(x_true)
-        result = discrepancy_alpha(op, y, 1e-10, Discrepancy(1.5, 2.0))
-        assert np.allclose(result.report.solution, x_true, atol=1e-6)
+        result = discrepancy_alpha(op, [y], 1e-10, Discrepancy(1.5, 2.0))
+        assert np.allclose(result.report.solution[0], x_true, atol=1e-6)
 
     def test_infeasible_band(self):
         # data outside the range of the operator keeps the residual high
         op = SvdOperator.diagonal([1.0, 0.0])
-        y = np.array([0.1, 1.0])  # the kernel component of norm 1 can never be fit
-        with pytest.raises(NoFeasibleAlpha, match="minimal attainable residual"):
-            discrepancy_alpha(op, y, 0.1, Discrepancy(1.1, 1.2))
+        # the first row's kernel component of norm 1 can never be fit; the
+        # second row's floor 0.05 lies below the band
+        y = np.array([[0.1, 1.0], [1.0, 0.05]])
+        result = discrepancy_alpha(op, y, 0.1, Discrepancy(1.1, 1.2))
+        assert result.infeasible.tolist() == [True, False]
+        assert not result.trivial.any()
+        assert math.isinf(result.alpha[0]) and math.isfinite(result.alpha[1])
+        assert np.array_equal(result.report.solution[0], [0.0, 0.0])
+        assert result.report.row_iterations[0] == 0
+        assert 1.1 * 0.1 <= result.report.final_residual[1] <= 1.2 * 0.1
 
     def test_postcondition_recomputed(self):
         op = SvdOperator.diagonal(np.linspace(1.0, 0.1, 10))
@@ -116,10 +195,10 @@ class TestDiscrepancyAlpha:
         y = op.apply(x_true) + 0.01 * rng.standard_normal(10)
         rule = Discrepancy(1.1, 1.4)
         delta = 0.02
-        result = discrepancy_alpha(op, y, delta, rule)
-        res = np.linalg.norm(op.apply(result.report.solution) - y)
+        result = discrepancy_alpha(op, [y], delta, rule)
+        res = np.linalg.norm(op.apply(result.report.solution[0]) - y)
         assert rule.tau1 * delta <= res <= rule.tau2 * delta
-        assert res == pytest.approx(result.report.final_residual, abs=1e-10)
+        assert res == pytest.approx(result.report.final_residual[0], abs=1e-10)
 
     def test_residual_monotone_in_alpha(self):
         for _ in range(5):
@@ -132,6 +211,28 @@ class TestDiscrepancyAlpha:
                 for a in alphas
             ]
             assert np.all(np.diff(res) >= -1e-12)
+
+    # a trivial row beside a solved one; a zero singular value under an
+    # infeasible floor; a zero-width band
+    @example((SvdOperator.diagonal([1.0, 0.5]), np.array([[1e-3, 0.0], [1.0, -0.5]]), 0.1,
+              Discrepancy(1.1, 1.3)))
+    @example((SvdOperator.diagonal([1.0, 0.0]), np.array([[0.1, 1.0], [1.0, 0.05]]), 0.1,
+              Discrepancy(1.1, 1.2)))
+    @example((SvdOperator.diagonal([1.0, 0.3, 0.1]), np.array([[1.0, 0.5, 0.2], [0.3, 0.2, 0.1]]),
+              0.05, Discrepancy(1.2, 1.2)))
+    @given(_discrepancy_blocks())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_the_scalar_reference(self, case):
+        op, y, delta, rule = case
+        result = discrepancy_alpha(op, y, delta, rule)
+        s = op.singular_values
+        for i, row in enumerate(y):
+            alpha, evals, outcome = _reference_alpha(s, row, rule.tau1 * delta, rule.tau2 * delta)
+            assert result.alpha[i] == alpha
+            assert result.report.row_iterations[i] == evals
+            assert result.trivial[i] == (outcome == "trivial")
+            assert result.infeasible[i] == (outcome == "infeasible")
+        assert result.report.iterations == int(np.sum(result.report.row_iterations))
 
 
 class TestBesovBalance:
