@@ -17,7 +17,6 @@ from .harness import (
     StudyResult,
     TrialResult,
     export,
-    export_autoconv_panels,
     fit_rate,
     read_summaries,
     run_study,

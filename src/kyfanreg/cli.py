@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from .config import ConfigError, load_config
-from .harness import export, export_autoconv_panels, fit_rate, run_study
+from .harness import export, fit_rate, run_study
 from .noise import (
     EmpiricalSample,
     NoiseSpec,
@@ -49,6 +49,11 @@ EXIT_NUMERICAL = 3
 
 # a study whose flagged trials exceed this fraction at any eta fails numerically
 _FLAGGED_LIMIT = 0.5
+
+# the autoconv study's CSV: the data of its two-panel ratio and error figure
+_AUTOCONV_COLUMNS = (
+    ("eta", "eta"), ("ratio_delta2_over_alpha", "ratio_delta2_alpha"), ("err", "err_kyfan"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,7 +158,7 @@ def _cmd_run(args) -> int:
         return EXIT_NUMERICAL
     out = sys.stdout if args.out is None else args.out
     if cfg.study == "autoconv":
-        export_autoconv_panels(result.summaries, out)
+        export(result.summaries, out, _AUTOCONV_COLUMNS)
     else:
         export(result.summaries, out)
     worst = max((s.flagged_count / s.trials for s in result.summaries), default=0.0)

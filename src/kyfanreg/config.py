@@ -297,16 +297,16 @@ def build_operator(spec: dict) -> SvdOperator:
     """The operator of a parsed spec; for autoconv, the identity on its grid."""
     kind = spec["kind"]
     if kind == "diagonal":
-        return SvdOperator.diagonal(np.asarray(spec["singular_values"], dtype=float))
+        return SvdOperator(spec["singular_values"])
     if kind == "diagonal-powerlaw":
         n = np.arange(1, spec["size"] + 1, dtype=float)
-        return SvdOperator.diagonal(n ** (-spec["decay"]))
+        return SvdOperator(n ** (-spec["decay"]))
     if kind == "autoconv":
         # truth specs act through the identity; the study's Haar basis needs 2^L points
         haar_level_indices(spec["size"])
-        return SvdOperator.diagonal(np.ones(spec["size"]))
+        return SvdOperator(np.ones(spec["size"]))
     levels = haar_level_indices(2 ** spec["levels"])  # haar-diagonal
-    return SvdOperator.diagonal(np.sort(2.0 ** (-spec["decay"] * levels))[::-1])
+    return SvdOperator(np.sort(2.0 ** (-spec["decay"] * levels))[::-1])
 
 
 def build_truth(spec: dict, op: SvdOperator) -> np.ndarray:

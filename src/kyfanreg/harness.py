@@ -85,7 +85,6 @@ __all__ = [
     "fit_rate",
     "export",
     "read_summaries",
-    "export_autoconv_panels",
     "CSV_COLUMNS",
 ]
 
@@ -159,12 +158,13 @@ def fit_rate(points) -> RateFit:
 def run_study(cfg: ExperimentConfig) -> StudyResult:
     """Run the configured Monte Carlo study; deterministic given the seed.
 
-    The study's setup returns the data dimension, the trials per block and
-    ``at_eta(eta, delta_eff) -> (solve_block, rate_theory)``, which does the
-    once-per-eta work.  ``solve_block(trials, rngs)`` draws each trial's data
-    from its generator and returns the trials' records.
+    The study's setup returns the data dimension m, which fixes the trials
+    per block, and ``at_eta(eta, delta_eff) -> (solve_block, rate_theory)``,
+    which does the once-per-eta work.  ``solve_block(trials, rngs)`` draws
+    each trial's data from its generator and returns the trials' records.
     """
-    m, block_rows, at_eta = _STUDIES[cfg.study](cfg)
+    m, at_eta = _STUDIES[cfg.study](cfg)
+    block_rows = max(1, _BLOCK_DOUBLES // m)
     summaries, all_trials = [], []
     for eta_idx, eta in enumerate(cfg.eta_grid):
         dlt = delta_eff(NoiseSpec(eta=eta, m=m), cfg.noise_mode)
@@ -246,7 +246,7 @@ def _filter_study(cfg: ExperimentConfig):
     op = build_operator(cfg.operator)
     n = op.size
     x_true = build_truth(cfg.truth, op)
-    y_exact = op.apply(x_true)
+    y_exact = op.singular_values * x_true
     make_kind = Tikhonov if cfg.solver["filter"] == "tikhonov" else Tsvd
 
     def at_eta(eta, dlt):
@@ -271,7 +271,7 @@ def _filter_study(cfg: ExperimentConfig):
 
         return solve_block, None
 
-    return n, max(1, _BLOCK_DOUBLES // n), at_eta
+    return n, at_eta
 
 
 # -- autoconvolution study ----------------------------------------------------
@@ -441,8 +441,7 @@ def _autoconv_study(cfg: ExperimentConfig):
 
         return solve_block, None
 
-    # read at run time, so that a test can shrink the blocks
-    return m, max(1, _BLOCK_DOUBLES // m), at_eta
+    return m, at_eta
 
 
 # -- Besov (weighted-l1/lp) study --------------------------------------------
@@ -497,7 +496,7 @@ def _besov_study(cfg: ExperimentConfig):
 
         return solve_block, None
 
-    return n, max(1, _BLOCK_DOUBLES // n), at_eta
+    return n, at_eta
 
 
 # -- random source exponent (Landweber) study ---------------------------------
@@ -565,7 +564,7 @@ def _nu_random_study(cfg: ExperimentConfig):
         rate_theory = 2.0 * nu_effective(dlt).nu_approx if 0.0 < dlt < 1.0 else None
         return solve_block, rate_theory
 
-    return m, max(1, _BLOCK_DOUBLES // m), at_eta
+    return m, at_eta
 
 
 _STUDIES = {
@@ -625,17 +624,19 @@ def _write_text(path, write) -> None:
             os.unlink(tmp)
 
 
-def export(summaries, path) -> None:
+def export(summaries, path, columns=tuple(zip(CSV_COLUMNS, CSV_COLUMNS))) -> None:
     """Write per-eta summaries as CSV; numbers carry 17 significant digits.
 
-    ``path`` is a file path or an open text stream.  The CSV holds exactly
-    the documented columns, after a header row.
+    ``path`` is a file path or an open text stream.  ``columns`` holds one
+    (header, ``EtaSummary`` field) pair per column; by default the CSV holds
+    exactly the documented columns.  A header row comes first.
     """
+    headers, fields = zip(*columns)
 
     def write(handle):
-        handle.write(",".join(CSV_COLUMNS) + "\n")
+        handle.write(",".join(headers) + "\n")
         for s in summaries:
-            handle.write(",".join(_format(getattr(s, c)) for c in CSV_COLUMNS) + "\n")
+            handle.write(",".join(_format(getattr(s, f)) for f in fields) + "\n")
 
     _write_text(path, write)
 
@@ -662,19 +663,3 @@ def read_summaries(path) -> list:
             raise ValueError(f"{path}, line {n}: {exc}") from exc
         out.append(EtaSummary(**dict(zip(CSV_COLUMNS, values))))
     return out
-
-
-def export_autoconv_panels(summaries, path) -> None:
-    """Plot-ready data for the two-panel ratio/error figure of the autoconv study.
-
-    ``path`` is a file path or an open text stream.
-    """
-
-    def write(handle):
-        handle.write("eta,ratio_delta2_over_alpha,err\n")
-        for s in summaries:
-            handle.write(
-                f"{_format(s.eta)},{_format(s.ratio_delta2_alpha)},{_format(s.err_kyfan)}\n"
-            )
-
-    _write_text(path, write)

@@ -182,8 +182,6 @@ def empirical_kyfan(sample: EmpiricalSample) -> float:
     the sorted sample values (the empirical tail is evaluated from the
     right at ties).
     """
-    if not isinstance(sample, EmpiricalSample):
-        sample = EmpiricalSample.from_values(sample)
     # exact infimum of {eps > 0 : #(d > eps)/n < eps} on the empirical law
     n = sample.distances.size
     vals, counts = np.unique(sample.distances, return_counts=True)

@@ -37,13 +37,6 @@ __all__ = [
     "besov_weights",
 ]
 
-def _as_vector(x, n: int, what: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != n:
-        raise ValueError(f"{what}: expected a vector of length {n}, got shape {x.shape}")
-    return x
-
-
 @dataclass(frozen=True)
 class SvdOperator:
     """Compact linear operator in its singular basis: (A x)_n = sigma_n x_n.
@@ -67,18 +60,10 @@ class SvdOperator:
             raise ValueError("singular values must be non-increasing")
         object.__setattr__(self, "singular_values", s)
 
-    @classmethod
-    def diagonal(cls, singular_values) -> "SvdOperator":
-        return cls(singular_values)
-
     @property
     def size(self) -> int:
         """Length of the data and solution vectors."""
         return self.singular_values.size
-
-    def apply(self, x) -> np.ndarray:
-        """A x = sigma * x."""
-        return self.singular_values * _as_vector(x, self.size, "solution vector")
 
     def source_element(self, exponent: float, w) -> np.ndarray:
         """(A* A)^exponent w, i.e. the spectral multiplier sigma^(2*exponent).
@@ -86,9 +71,8 @@ class SvdOperator:
         The caller passes the exponent explicitly (nu/2 for range conditions
         written with (A*A)^(nu/2), nu when the condition uses (A*A)^nu).
         """
-        w = _as_vector(w, self.size, "source element")
         if exponent == 0.0:
-            return w.copy()
+            return np.array(w, dtype=float)
         s = self.singular_values
         mult = np.zeros_like(s)
         pos = s > 0.0
@@ -269,10 +253,6 @@ class BesovWeights:
     a Besov-norm power; weights are non-decreasing in level.
     """
 
-    s: float
-    p: float
-    d: int
-    levels: int
     zeta: float
     weights: np.ndarray
 
@@ -290,4 +270,4 @@ def besov_weights(s: float, p: float, d: int, levels: int) -> BesovWeights:
         raise ValueError(f"s: smoothness too low: zeta = s - d(1/2 - 1/p) = {zeta!r} <= 0")
     lev = haar_level_indices(2**levels)
     w = 2.0 ** (zeta * p * lev)
-    return BesovWeights(s=float(s), p=float(p), d=int(d), levels=int(levels), zeta=zeta, weights=w)
+    return BesovWeights(zeta=zeta, weights=w)

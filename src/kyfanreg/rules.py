@@ -154,9 +154,9 @@ def discrepancy_alpha(op, y, delta_eff: float, rule: Discrepancy) -> Discrepancy
     bound.  As alpha -> 0 the residual falls to the norm of the data on the
     zero singular values; a row whose floor exceeds tau2*delta, whose
     residual stays above the band down to alpha = 1e-300, or whose
-    bisection collapses onto a residual outside a zero-width band
-    (tau1 == tau2) is infeasible: its data and noise level are
-    inconsistent.  Both give alpha = inf.
+    bisection collapses onto a residual outside the band (its alpha lies
+    past the upward sweep's cap, as at sigma_1 = 1e150 on data of norm 1)
+    is infeasible, with alpha = inf.
     """
     if not (delta_eff > 0.0):
         raise ValueError(f"delta_eff must be positive, got {delta_eff!r}")
@@ -196,15 +196,16 @@ def discrepancy_alpha(op, y, delta_eff: float, rule: Discrepancy) -> Discrepancy
     for _ in range(500):
         if not active.size:
             break
-        a = np.sqrt(lo[active] * hi[active])
+        a = np.sqrt(lo[active]) * np.sqrt(hi[active])  # lo * hi can overflow
         alpha[active] = a
         res = _tikhonov_residual_norm(s2, y[active], a)
         evals[active] += 1
         below, above = res < lo_target, res > hi_target
         lo[active[below]] = a[below]
         hi[active[above]] = a[above]
-        # zero-width band (tau1 == tau2): accept the bisection limit if its
-        # residual lies in the band to roundoff
+        # a collapsed bracket ends the row: under a zero-width band its
+        # residual is in the band to roundoff; one whose band lies past the
+        # sweep's cap (sigma_1 ~ 1e150 up) collapses below it, infeasible
         moving = below | above
         collapsed = moving & (hi[active] / lo[active] < 1.0 + 1e-14)
         in_band = (lo_target * (1.0 - 1e-9) <= res) & (res <= hi_target * (1.0 + 1e-9))

@@ -4,7 +4,8 @@ import pytest
 import yaml
 
 from kyfanreg.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
-from kyfanreg.harness import read_summaries
+from kyfanreg.config import parse_config
+from kyfanreg.harness import read_summaries, run_study
 from kyfanreg.noise import NoiseSpec, kyfan_bound_gaussian
 
 
@@ -266,6 +267,20 @@ class TestRunCommands:
         lines = out_path.read_text().splitlines()
         assert lines[0] == "eta,ratio_delta2_over_alpha,err"
         assert len(lines) == 2
+
+    def test_autoconv_csv_bytes(self, tmp_path):
+        # the header, then each eta's eta, mean delta^2/alpha and Ky Fan error
+        # at 17 significant digits
+        raw = dict(small_autoconv_config(), eta_grid=[0.1, 0.01])
+        cfg = write_config(tmp_path / "a.yaml", raw)
+        out_path = tmp_path / "panels.csv"
+        assert main(["run", "autoconv", "--config", cfg, "--out", str(out_path)]) == EXIT_OK
+        summaries = run_study(parse_config(raw)).summaries
+        assert len(summaries) == 2
+        expected = "eta,ratio_delta2_over_alpha,err\n" + "".join(
+            f"{s.eta:.17g},{s.ratio_delta2_alpha:.17g},{s.err_kyfan:.17g}\n" for s in summaries
+        )
+        assert out_path.read_bytes() == expected.encode()
 
 
 class TestPredictCommands:

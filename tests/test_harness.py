@@ -11,13 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
-from kyfanreg import harness
+from kyfanreg import cli, harness
 from kyfanreg.config import _STUDY_SPECS, ConfigError, parse_config
 from kyfanreg.harness import (
     CSV_COLUMNS,
     EtaSummary,
     export,
-    export_autoconv_panels,
     fit_rate,
     read_summaries,
     run_study,
@@ -162,10 +161,12 @@ class TestExport:
     def test_autoconv_panels(self, tmp_path):
         rows = [summary_row(ratio_delta2_alpha=0.7)]
         path = tmp_path / "panels.csv"
-        export_autoconv_panels(rows, path)
+        export(rows, path, cli._AUTOCONV_COLUMNS)
         lines = path.read_text().splitlines()
-        assert lines[0] == "eta,ratio_delta2_over_alpha,err"
-        assert lines[1].startswith("0.1")
+        assert lines == [
+            "eta,ratio_delta2_over_alpha,err",
+            "0.10000000000000001,0.69999999999999996,0.050000000000000003",
+        ]
 
 
 class TestFilterStudy:
@@ -641,6 +642,14 @@ class TestConfigValidation:
         assert blocks
         for block in blocks:
             parse_config(yaml.safe_load(block))
+
+    def test_readme_python_runs(self):
+        # every Python block in the README runs as written
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```python\n(.*?)^```", readme, flags=re.M | re.S)
+        assert blocks
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {})
 
     def test_readme_solver_keys_match_specs(self):
         # the README's per-study table names exactly the operator, truth and

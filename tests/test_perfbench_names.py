@@ -2,10 +2,12 @@
 
 ``perfbench/tracing.py`` wraps program functions by module attribute, and
 ``perfbench/workloads.py`` reads the benchmark configs by key. This builds
-both without running an operation, so that a change to the package that
-breaks either fails here rather than only when the benchmark runs.
+both without running an operation, and checks every package name the
+benchmark's source reads, so that a change to the package that breaks
+either fails here rather than only when the benchmark runs.
 """
 
+import ast
 import sys
 from collections import Counter
 from pathlib import Path
@@ -31,6 +33,41 @@ def perfbench():
     finally:
         sys.dont_write_bytecode = saved
         sys.path.remove(str(PERFBENCH))
+
+
+def _package_names(source):
+    """The names a module reads from the package: ``kf.<name>`` after
+    ``import kyfanreg as kf`` (or ``kyfanreg.<name>``), and ``from kyfanreg
+    import <name>``."""
+    tree = ast.parse(source)
+    aliases, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "kyfanreg" or (
+                        alias.asname is None and alias.name.startswith("kyfanreg.")):
+                    aliases.add(alias.asname or "kyfanreg")
+        elif isinstance(node, ast.ImportFrom) and node.module == "kyfanreg":
+            names.update(alias.name for alias in node.names)
+    names.update(
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+    )
+    return names
+
+
+def test_every_package_name_the_benchmark_reads_exists():
+    # a name read only inside a run or check closure would otherwise fail
+    # only when the benchmark runs that operation
+    seen, missing = set(), []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        names = _package_names(path.read_text(encoding="utf-8"))
+        seen |= names
+        missing += [f"{path.name}: kyfanreg.{name}" for name in sorted(names)
+                    if not hasattr(kyfanreg, name)]
+    assert {"EmpiricalSample", "export", "run_study", "harness"} <= seen
+    assert missing == []
 
 
 def test_tracing_wraps_and_restores_every_target(perfbench):

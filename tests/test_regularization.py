@@ -84,26 +84,26 @@ class TestFilterConditions:
 class TestFilterReconstruct:
     def test_full_filter_is_generalized_inverse(self):
         sigma = np.array([1.0, 0.5, 0.25, 0.0])
-        op = SvdOperator.diagonal(sigma)
+        op = SvdOperator(sigma)
         y = rng.standard_normal(4)
         got = filter_reconstruct(op, y, Tsvd(0.25**2 / 2.0))
         # the kernel direction sigma = 0 is dropped
         assert np.allclose(got, [y[0] / 1.0, y[1] / 0.5, y[2] / 0.25, 0.0], atol=1e-14)
 
     def test_large_alpha_shrinks_to_zero(self):
-        op = SvdOperator.diagonal([1.0, 0.5])
+        op = SvdOperator([1.0, 0.5])
         y = rng.standard_normal(2)
         for alpha in (1e2, 1e4, 1e6):
             x = filter_reconstruct(op, y, Tikhonov(alpha))
             assert np.linalg.norm(x) <= np.linalg.norm(y) * op.singular_values[0] / alpha
 
     def test_hand_computed_tikhonov(self):
-        op = SvdOperator.diagonal([1.0, 0.5])
+        op = SvdOperator([1.0, 0.5])
         got = filter_reconstruct(op, [1.0, 1.0], Tikhonov(0.25))
         assert np.allclose(got, [0.8, 1.0], atol=1e-14)
 
     def test_linear_in_data(self):
-        op = SvdOperator.diagonal([2.0, 1.0, 0.3, 0.0, 0.0])
+        op = SvdOperator([2.0, 1.0, 0.3, 0.0, 0.0])
         kind = Tikhonov(0.1)
         y1, y2 = rng.standard_normal(5), rng.standard_normal(5)
         lhs = filter_reconstruct(op, 2.0 * y1 - 3.0 * y2, kind)
@@ -111,7 +111,7 @@ class TestFilterReconstruct:
         assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_landweber_contraction_checked(self):
-        op = SvdOperator.diagonal([2.0])
+        op = SvdOperator([2.0])
         with pytest.raises(ValueError):
             filter_reconstruct(op, [1.0], LandweberFilter(5, 1.0))
 
@@ -122,7 +122,7 @@ class TestFilterReconstruct:
     ])
     def test_one_parameter_per_row(self, make_kind, params):
         # each row bit for bit as alone and as with a scalar parameter
-        op = SvdOperator.diagonal(np.concatenate([np.geomspace(1.0, 1e-2, 99), [0.0]]))
+        op = SvdOperator(np.concatenate([np.geomspace(1.0, 1e-2, 99), [0.0]]))
         y = rng.standard_normal((40, 100))
         block = filter_reconstruct(op, y, make_kind(params))
         for i, param in enumerate(params):

@@ -106,7 +106,7 @@ def _reference_alpha(s, y, lo_target, hi_target):
         if lo < 1e-300:
             return math.inf, evals, "infeasible"
     for _ in range(500):
-        alpha = math.sqrt(lo * hi)
+        alpha = math.sqrt(lo) * math.sqrt(hi)
         res = residual(alpha)
         evals += 1
         if res < lo_target:
@@ -143,13 +143,13 @@ def _discrepancy_blocks(draw):
     delta = 10.0 ** gen.uniform(-2.0, 0.0)
     tau1 = 1.0 + 10.0 ** gen.uniform(-3.0, 0.0)
     tau2 = tau1 if draw(st.booleans()) else tau1 * (1.0 + 10.0 ** gen.uniform(-3.0, 0.0))
-    return SvdOperator.diagonal(s), y, delta, Discrepancy(tau1, tau2)
+    return SvdOperator(s), y, delta, Discrepancy(tau1, tau2)
 
 
 class TestDiscrepancyAlpha:
     def test_hand_computed_scalar_case(self):
         # Tikhonov residual on sigma=1, y=1 is alpha/(1+alpha): 0.5 at alpha=1
-        op = SvdOperator.diagonal([1.0])
+        op = SvdOperator([1.0])
         rule = Discrepancy(tau1=1.1, tau2=1.2)
         delta = 0.5 / 1.15  # places 0.5 inside the band
         result = discrepancy_alpha(op, [[1.0]], delta, rule)
@@ -161,7 +161,7 @@ class TestDiscrepancyAlpha:
         assert lo <= result.alpha[0] <= hi
 
     def test_trivial_data(self):
-        op = SvdOperator.diagonal([1.0, 0.5])
+        op = SvdOperator([1.0, 0.5])
         result = discrepancy_alpha(op, [[0.0, 0.0]], 0.1, Discrepancy(1.1, 1.3))
         assert result.trivial[0] and not result.infeasible[0]
         assert math.isinf(result.alpha[0])
@@ -169,15 +169,15 @@ class TestDiscrepancyAlpha:
         assert result.report.iterations == 0
 
     def test_small_delta_recovers_generalized_inverse(self):
-        op = SvdOperator.diagonal([1.0, 0.5, 0.25])
+        op = SvdOperator([1.0, 0.5, 0.25])
         x_true = np.array([1.0, -2.0, 0.5])
-        y = op.apply(x_true)
+        y = op.singular_values * x_true
         result = discrepancy_alpha(op, [y], 1e-10, Discrepancy(1.5, 2.0))
         assert np.allclose(result.report.solution[0], x_true, atol=1e-6)
 
     def test_infeasible_band(self):
         # data outside the range of the operator keeps the residual high
-        op = SvdOperator.diagonal([1.0, 0.0])
+        op = SvdOperator([1.0, 0.0])
         # the first row's kernel component of norm 1 can never be fit; the
         # second row's floor 0.05 lies below the band
         y = np.array([[0.1, 1.0], [1.0, 0.05]])
@@ -190,36 +190,64 @@ class TestDiscrepancyAlpha:
         assert 1.1 * 0.1 <= result.report.final_residual[1] <= 1.2 * 0.1
 
     def test_postcondition_recomputed(self):
-        op = SvdOperator.diagonal(np.linspace(1.0, 0.1, 10))
+        op = SvdOperator(np.linspace(1.0, 0.1, 10))
         x_true = rng.standard_normal(10)
-        y = op.apply(x_true) + 0.01 * rng.standard_normal(10)
+        y = op.singular_values * x_true + 0.01 * rng.standard_normal(10)
         rule = Discrepancy(1.1, 1.4)
         delta = 0.02
         result = discrepancy_alpha(op, [y], delta, rule)
-        res = np.linalg.norm(op.apply(result.report.solution[0]) - y)
+        res = np.linalg.norm(op.singular_values * result.report.solution[0] - y)
         assert rule.tau1 * delta <= res <= rule.tau2 * delta
         assert res == pytest.approx(result.report.final_residual[0], abs=1e-10)
+
+    def test_huge_singular_value_reaches_the_band(self):
+        # residual alpha / (1e200 + alpha) in [0.95, 0.99] needs alpha near
+        # 3.65e201, so lo * hi of the bisection bracket overflows a double
+        rule = Discrepancy(1.1, 1.1 * 0.99 / 0.95)
+        delta = 0.95 / 1.1
+        result = discrepancy_alpha(SvdOperator([1e100]), [[1.0]], delta, rule)
+        assert not result.infeasible[0] and not result.trivial[0]
+        assert result.alpha[0] == pytest.approx(3.6517e201, rel=1e-4)
+        assert result.report.row_iterations[0] == 8
+        assert rule.tau1 * delta <= result.report.final_residual[0] <= rule.tau2 * delta
+
+    def test_band_past_the_sweep_cap_is_infeasible(self):
+        # at sigma_1 = 1e150 the band needs alpha near 1.9e301, but the upward
+        # sweep stops at 1e301, where the residual is 1/1.1 < 0.95: the
+        # bisection closes onto the cap below the band, and only the collapse
+        # check ends the row
+        rule = Discrepancy(1.1, 1.1 * 0.99 / 0.95)
+        result = discrepancy_alpha(SvdOperator([1e150]), [[1.0]], 0.95 / 1.1, rule)
+        assert result.infeasible.tolist() == [True] and not result.trivial[0]
+        assert math.isinf(result.alpha[0])
+        assert result.report.row_iterations[0] == 54
+        assert np.array_equal(result.report.solution, [[0.0]])
 
     def test_residual_monotone_in_alpha(self):
         for _ in range(5):
             sig = np.sort(rng.uniform(0.05, 1.0, 8))[::-1]
-            op = SvdOperator.diagonal(sig)
+            op = SvdOperator(sig)
             y = rng.standard_normal(8)
             alphas = np.logspace(-6, 2, 30)
             res = [
-                np.linalg.norm(op.apply(filter_reconstruct(op, y, Tikhonov(a))) - y)
+                np.linalg.norm(op.singular_values * filter_reconstruct(op, y, Tikhonov(a)) - y)
                 for a in alphas
             ]
             assert np.all(np.diff(res) >= -1e-12)
 
     # a trivial row beside a solved one; a zero singular value under an
-    # infeasible floor; a zero-width band
-    @example((SvdOperator.diagonal([1.0, 0.5]), np.array([[1e-3, 0.0], [1.0, -0.5]]), 0.1,
+    # infeasible floor; a zero-width band; an alpha near 3.7e201 and one
+    # near 1.8e-300, whose bisection brackets multiply past the largest
+    # double and below the smallest
+    @example((SvdOperator([1.0, 0.5]), np.array([[1e-3, 0.0], [1.0, -0.5]]), 0.1,
               Discrepancy(1.1, 1.3)))
-    @example((SvdOperator.diagonal([1.0, 0.0]), np.array([[0.1, 1.0], [1.0, 0.05]]), 0.1,
+    @example((SvdOperator([1.0, 0.0]), np.array([[0.1, 1.0], [1.0, 0.05]]), 0.1,
               Discrepancy(1.1, 1.2)))
-    @example((SvdOperator.diagonal([1.0, 0.3, 0.1]), np.array([[1.0, 0.5, 0.2], [0.3, 0.2, 0.1]]),
+    @example((SvdOperator([1.0, 0.3, 0.1]), np.array([[1.0, 0.5, 0.2], [0.3, 0.2, 0.1]]),
               0.05, Discrepancy(1.2, 1.2)))
+    @example((SvdOperator([1e100]), np.array([[1.0]]), 0.95 / 1.1,
+              Discrepancy(1.1, 1.1 * 0.99 / 0.95)))
+    @example((SvdOperator([1e-15, 1e-150]), np.array([[0.0, 1.0]]), 0.5, Discrepancy(1.1, 1.3)))
     @given(_discrepancy_blocks())
     @settings(max_examples=200, deadline=None)
     def test_rows_match_the_scalar_reference(self, case):
