@@ -297,26 +297,25 @@ def _haar_matrix(m: int) -> np.ndarray:
     return np.column_stack([haar_forward(col) for col in np.eye(m)])
 
 
-def _autoconv_solve(grid, haar, y_noisy, coeff_init, alpha, step, tol, max_iter):
+def _autoconv_solve(grid, haar, y_noisy, coeff_init, alpha, step):
     # prox_gradient_solve takes the adjoint at the block it last sent
     # forward, so the synthesis c @ haar and its spectrum are computed once
     # and reused
-    last_c = last_x = last_spectrum = None
+    last_x = last_spectrum = None
 
     def fwd(c):
-        nonlocal last_c, last_x, last_spectrum
-        last_c, last_x = c, c @ haar
+        nonlocal last_x, last_spectrum
+        last_x = c @ haar
         last_spectrum = autoconv_spectrum(grid, last_x)
         return autoconv_apply(grid, last_x, spectrum=last_spectrum)
 
     def adj(c, r):
-        x, spectrum = (last_x, last_spectrum) if c is last_c else (c @ haar, None)
-        return autoconv_derivative_adjoint_apply(grid, x, r, spectrum=spectrum) @ haar.T
+        return autoconv_derivative_adjoint_apply(grid, last_x, r, spectrum=last_spectrum) @ haar.T
 
     try:
         return prox_gradient_solve(
-            fwd, adj, y_noisy, alpha=alpha, step=step, x0=coeff_init, tol=tol,
-            max_iter=max_iter,
+            fwd, adj, y_noisy, alpha=alpha, step=step, x0=coeff_init, tol=_TOL,
+            max_iter=_MAX_ITER,
         )
     except NonConvergence as exc:
         return exc.report
@@ -327,16 +326,17 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target):
 
     Each row starts above its kill-everything alpha and moves geometrically
     toward the band: x4 steps until the band is bracketed, then bisection in
-    log alpha.  A row that stays above the band without converging first
-    retries with a doubled iteration budget.  Every alpha step is one
+    log alpha, for at most _MAX_ALPHA_STEPS alphas.  Every alpha step is one
     batched solve over the rows still searching.  Each solve runs until it
-    converges or spends its budget, and the residual is read at its end:
-    the accelerated solver's residual can dip below the band on the way,
-    and stopping at such a dip would read the alpha as below the band and
-    trip the band-jump test.  Every solve of a row takes the same step:
-    _STEP_SAFETY over ||F'(x0)||^2, taken exactly from its closed form at
-    the row's constant initial fit x0.  Returns each row's last alpha, Haar
-    coefficients and residual, and whether it ended in the band.
+    converges or spends its _MAX_ITER iterations, and the residual is read
+    at its end: the accelerated solver's residual can dip below the band on
+    the way, and stopping at such a dip would read the alpha as below the
+    band and trip the band-jump test.  An unconverged end residual moves
+    alpha like any other; the next solve starts from where this one stopped.
+    Every solve of a row takes the same step: _STEP_SAFETY over
+    ||F'(x0)||^2, taken exactly from its closed form at the row's constant
+    initial fit x0.  Returns each row's last alpha, Haar coefficients and
+    residual, and whether it ended in the band.
     """
     rows = len(y)
     x0 = _constant_fit_init(grid, y)
@@ -354,58 +354,38 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target):
     last_alpha = alpha.copy()
     residual = np.empty(rows)
     in_band = np.zeros(rows, dtype=bool)
-    budget = np.full(rows, _MAX_ITER)
-    spent = np.zeros(rows, dtype=int)
     searching = np.arange(rows)
     for _ in range(_MAX_ALPHA_STEPS):
         if not searching.size:
             break
         report = _autoconv_solve(
             grid, haar, y[searching], coeffs[searching], alpha[searching], step[searching],
-            _TOL, budget[searching],
         )
         coeffs[searching] = report.solution
-        residual[searching] = report.final_residual
-        last_alpha[searching] = alpha[searching]
-        spent[searching] += report.row_iterations
-        converged = report.converged
+        res = residual[searching] = report.final_residual
+        a = last_alpha[searching] = alpha[searching]
         del report  # the next solve need not hold this one's arrays
-        still = []
-        for i, ok in zip(searching, converged):
-            res, a = residual[i], alpha[i]
-            if res > hi_target:
-                if not ok and budget[i] < _MAX_BUDGET and spent[i] < _TOTAL_BUDGET:
-                    # not yet converged and still above the band: the warm
-                    # start keeps the progress, so retry with more budget
-                    budget[i] *= 2
-                    still.append(i)
-                    continue
-                alpha_hi[i] = a
-                alpha[i] = a / 4.0 if math.isnan(alpha_lo[i]) else math.sqrt(a * alpha_lo[i])
-            elif res < lo_target:
-                alpha_lo[i] = a
-                alpha[i] = a * 4.0 if math.isnan(alpha_hi[i]) else math.sqrt(a * alpha_hi[i])
-            else:
-                in_band[i] = True
-                continue
-            if spent[i] > _TOTAL_BUDGET:
-                continue
-            if alpha_hi[i] / alpha_lo[i] < 1.02:
-                # the residual jumps across the band on this branch: no
-                # in-band alpha exists, keep the closest attempt
-                continue
-            still.append(i)
-        searching = np.array(still, dtype=int)
+        above, below = res > hi_target, res < lo_target
+        in_band[searching] = ~(above | below)
+        up, down = searching[above], searching[below]
+        alpha_hi[up] = a[above]
+        alpha_lo[down] = a[below]
+        alpha[up] = np.where(np.isnan(alpha_lo[up]), a[above] / 4.0,
+                             np.sqrt(a[above] * alpha_lo[up]))
+        alpha[down] = np.where(np.isnan(alpha_hi[down]), a[below] * 4.0,
+                               np.sqrt(a[below] * alpha_hi[down]))
+        # a row whose residual jumps across the band between two alphas 2%
+        # apart has no in-band alpha on this branch: it keeps its closest attempt
+        jumped = alpha_hi[searching] / alpha_lo[searching] < 1.02
+        searching = searching[(above | below) & ~jumped]
     return last_alpha, coeffs, residual, in_band
 
 
-# The autoconv alpha search: a solve stops at step _TOL or after its budget,
-# _MAX_ITER doubling up to _MAX_BUDGET; a trial stops after _TOTAL_BUDGET
-# iterations or _MAX_ALPHA_STEPS alphas; steps are _STEP_SAFETY / Lipschitz.
+# The autoconv alpha search: a solve stops at step _TOL or after _MAX_ITER
+# iterations, a trial after _MAX_ALPHA_STEPS alphas (so at most 32,000
+# iterations); steps are _STEP_SAFETY / Lipschitz.
 _TOL = 1e-6
 _MAX_ITER = 800
-_MAX_BUDGET = 6400
-_TOTAL_BUDGET = 20000
 _MAX_ALPHA_STEPS = 40
 _STEP_SAFETY = 0.9
 

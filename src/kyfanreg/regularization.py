@@ -14,6 +14,7 @@ Conventions
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,8 +234,8 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", a, a))
 
 
-def _per_row(value, rows: int, what: str, dtype=float) -> np.ndarray:
-    arr = np.asarray(value, dtype=dtype)
+def _per_row(value, rows: int, what: str) -> np.ndarray:
+    arr = np.asarray(value, dtype=float)
     if arr.ndim > 1 or (arr.ndim == 1 and arr.size != rows):
         raise ValueError(f"{what}: expected a scalar or one value per row ({rows}), got {arr.shape}")
     return np.broadcast_to(arr, (rows,)).copy()
@@ -248,7 +249,7 @@ def prox_gradient_solve(
     step,
     x0,
     tol: float,
-    max_iter,
+    max_iter: int,
     record_objective: bool = False,
 ) -> SolveReport:
     """Accelerated proximal gradient on ||F(x) - y||^2 + alpha * ||x||_1, row by row.
@@ -273,7 +274,8 @@ def prox_gradient_solve(
     carries the final state.  The forward map runs twice per iteration, at
     z for the gradient and at x+ for the objective.
 
-    ``alpha``, ``step`` and ``max_iter`` are scalars or one value per row.
+    ``alpha`` and ``step`` are scalars or one value per row; every row gets
+    the same ``max_iter`` iterations.
     ``forward(x)`` and ``derivative_adjoint(x, r)`` must act row by row on
     any (k, m) block of the rows: a row leaves the block as soon as it
     stops.  ``derivative_adjoint`` is always called at the block that was
@@ -281,8 +283,9 @@ def prox_gradient_solve(
     The report's ``solution`` is (B, m), ``final_residual`` is a (B,) array
     and ``iterations`` is the total over rows; ``row_iterations`` and
     ``converged`` hold each row's count and outcome.  NonConvergence is
-    raised when any row exhausts its budget.  ``record_objective`` keeps the
-    objective at x after every iteration, for a one-row block only.
+    raised when any row spends ``max_iter`` iterations unconverged.
+    ``record_objective`` keeps the objective at x after every iteration, for
+    a one-row block only.
     """
     x = np.asarray(x0, dtype=float)
     if x.ndim != 2:
@@ -297,7 +300,7 @@ def prox_gradient_solve(
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     if not np.all(step > 0.0):
         raise ValueError(f"step must be positive, got {step!r}")
-    budget = _per_row(max_iter, rows, "max_iter", dtype=int)
+    max_iter = operator.index(max_iter)
     if record_objective and rows != 1:
         raise ValueError("record_objective needs a one-row block")
     thresh = (step * alpha / 2.0)[:, np.newaxis]
@@ -319,7 +322,7 @@ def prox_gradient_solve(
     stop = np.zeros(rows, dtype=bool)
     k = 0
     while True:
-        done = stop | (k >= budget)
+        done = stop | (k >= max_iter)
         if done.any():
             idx = active[done]
             solution[idx] = x[done]
@@ -329,7 +332,7 @@ def prox_gradient_solve(
             keep = ~done
             active, x, z, t, y = active[keep], x[keep], z[keep], t[keep], y[keep]
             res_norm, value, alpha = res_norm[keep], value[keep], alpha[keep]
-            step, thresh, budget = step[keep], thresh[keep], budget[keep]
+            step, thresh = step[keep], thresh[keep]
             if not active.size:
                 break
         k += 1

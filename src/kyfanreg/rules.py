@@ -290,10 +290,12 @@ def besov_balance_alpha(params: BesovBalanceParams) -> BesovBalanceResult:
     """Solve the balancing equation error-term = tail-probability-sum.
 
     Scans log10(alpha_tilde) on a fixed grid (``_SCAN_LOG10_RANGE``,
-    ``_SCAN_POINTS``) for a sign change of LHS - RHS (no global
-    monotonicity is assumed), then bisects to a relative gap of 1e-8.
-    Raises :class:`NoBracket` with the scan table when no sign change
-    exists.
+    ``_SCAN_POINTS``) for every sign change of LHS - RHS (no global
+    monotonicity is assumed) and bisects each to a relative gap of 1e-8.
+    Returns the root with the smallest balanced value RHS below 1: at
+    RHS >= 1 the tail-probability bound is vacuous.  Raises
+    :class:`NoBracket` with the scan table when no sign change exists or
+    every root is vacuous.
     """
     grid = np.linspace(*_SCAN_LOG10_RANGE, _SCAN_POINTS)
     diffs = []
@@ -302,24 +304,24 @@ def besov_balance_alpha(params: BesovBalanceParams) -> BesovBalanceResult:
         diffs.append(lhs - rhs)
     diffs = np.asarray(diffs)
 
-    bracket = None
-    f_lo = 0.0
+    roots = []
     for i in range(len(grid) - 1):
         if diffs[i] == 0.0:
-            bracket = (grid[i], grid[i])
-            f_lo = 0.0
-            break
-        if diffs[i] * diffs[i + 1] < 0.0:
-            bracket = (grid[i], grid[i + 1])
-            f_lo = float(diffs[i])
-            break
-    if bracket is None:
+            roots.append(_bisect_balance(params, grid[i], grid[i], 0.0))
+        elif diffs[i] * diffs[i + 1] < 0.0:
+            roots.append(_bisect_balance(params, grid[i], grid[i + 1], float(diffs[i])))
+    bounding = [r for r in roots if r.rhs < 1.0]
+    if not bounding:
+        what = "no sign change" if not roots else f"{len(roots)} root(s), all with RHS >= 1,"
         raise NoBracket(
-            "LHS - RHS has no sign change on the scan grid",
+            f"LHS - RHS has {what} on the scan grid",
             scan=tuple((10.0**t, float(d)) for t, d in zip(grid, diffs)),
         )
+    return min(bounding, key=lambda r: r.rhs)
 
-    lo, hi = bracket
+
+def _bisect_balance(params, lo: float, hi: float, f_lo: float) -> BesovBalanceResult:
+    # bisection in log10(alpha_tilde) on a bracket whose left end has LHS - RHS = f_lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         lhs, rhs = _besov_sides(params, 10.0**mid)

@@ -284,3 +284,42 @@ def test_criterion_8_property_suites(capsys):
     report(capsys, 8, not failed,
            f"{len(checks)} property checks" + (f"; failed: {failed}" if failed else " all hold"),
            elapsed, 10.0)
+
+
+def test_criterion_9_convergence_without_a_source_condition(capsys):
+    # x_k ~ k^-0.51 under sigma_k = k^-1 meets a source condition only for
+    # nu < 0.01: the convergence theorem (error -> 0 when delta -> 0 and
+    # delta^2 / alpha -> 0) applies, no rate theorem does
+    start = time.perf_counter()
+    cfg = parse_config({
+        "schema_version": 1,
+        "study": "filter",
+        "seed": 3,
+        "eta_grid": [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6],
+        "trials_per_eta": 200,
+        "noise_level": {"mode": "kyfan-bound"},
+        "caps": {"norm": 100.0, "sup": 100.0},
+        "operator": {"kind": "diagonal-powerlaw", "size": 2000, "decay": 1.0},
+        "truth": {"kind": "source-powerlaw", "exponent": 0.0, "power": -0.51, "norm": 1.0},
+        "rule": {"kind": "discrepancy", "tau1": 1.1, "tau2": 1.3},
+    })
+    res = run_study(cfg)
+    # where delta_eff is capped at 1, every trial is the zero solution and
+    # the Ky Fan error is exactly 1: the claim starts past those etas
+    live = [s for s in res.summaries if s.err_kyfan < 1.0]
+    errs = [s.err_kyfan for s in live]
+    ratios = [s.delta_eff**2 / s.alpha_or_kstar for s in live]
+    largest_rise = max(b - a for a, b in zip(errs, errs[1:]))
+    ok = (
+        len(live) >= 3
+        and largest_rise <= 0.0
+        and errs[-1] <= 0.5 * errs[0]
+        and ratios[-1] < ratios[0]
+    )
+    elapsed = time.perf_counter() - start
+    report(capsys, 9, ok,
+           f"err_kyfan {['%.3g' % s.err_kyfan for s in res.summaries]}: largest rise past the "
+           f"capped etas {largest_rise:.3g} (<= 0), last/first {errs[-1] / errs[0]:.3f} (<= 0.5); "
+           f"delta^2/alpha {ratios[0]:.3g} -> {ratios[-1]:.3g} (must fall); "
+           f"{sum(s.flagged_count for s in res.summaries)} flagged",
+           elapsed, 30.0)

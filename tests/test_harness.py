@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from kyfanreg import cli, harness
-from kyfanreg.config import _STUDY_SPECS, ConfigError, parse_config
+from kyfanreg.config import _STUDY_SPECS, ConfigError, build_operator, build_truth, parse_config
 from kyfanreg.harness import (
     CSV_COLUMNS,
     EtaSummary,
@@ -21,12 +21,14 @@ from kyfanreg.harness import (
     read_summaries,
     run_study,
 )
+from kyfanreg.noise import NoiseSpec, delta_eff, trial_rng
 from kyfanreg.operators import (
     AutoconvGrid,
+    autoconv_apply,
     autoconv_derivative_adjoint_apply,
     autoconv_derivative_apply,
 )
-from kyfanreg.regularization import operator_norm_squared
+from kyfanreg.regularization import NonConvergence, operator_norm_squared
 
 rng = np.random.default_rng(3)
 
@@ -336,6 +338,82 @@ class TestAutoconvStudy:
             for field in ("alpha_or_kstar", "error", "error_truncated", "residual"):
                 assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9)
 
+    @staticmethod
+    def _reference_search(grid, haar, y, lo_target, hi_target):
+        """The autoconv alpha search on one data row, one decision at a time."""
+        x0 = harness._constant_fit_init(grid, y[np.newaxis])
+        coeffs = x0 @ haar.T
+        step = harness._STEP_SAFETY / harness._constant_lipschitz(grid, x0[:, 0])
+        grad0 = autoconv_derivative_adjoint_apply(grid, x0, autoconv_apply(grid, x0) - y) @ haar.T
+        alpha = max(4.0 * float(np.max(np.abs(grad0))), 1e-12)
+        alpha_hi = alpha_lo = math.nan
+        for _ in range(harness._MAX_ALPHA_STEPS):
+            report = harness._autoconv_solve(grid, haar, y[np.newaxis], coeffs, alpha, step)
+            coeffs, res, a = report.solution, float(report.final_residual[0]), alpha
+            if res > hi_target:
+                alpha_hi = a
+                alpha = a / 4.0 if math.isnan(alpha_lo) else math.sqrt(a * alpha_lo)
+            elif res < lo_target:
+                alpha_lo = a
+                alpha = a * 4.0 if math.isnan(alpha_hi) else math.sqrt(a * alpha_hi)
+            else:
+                return a, coeffs[0], res, True
+            if alpha_hi / alpha_lo < 1.02:
+                break
+        return a, coeffs[0], res, False
+
+    # the zero-width band is never hit, so every search ends on a band jump,
+    # some above the band and some below
+    @pytest.mark.parametrize("tau1, tau2", [(1.1, 1.3), (1.2, 1.2)])
+    def test_search_matches_a_scalar_reference(self, tau1, tau2):
+        cfg = parse_config(STUDY_CONFIGS["autoconv"])
+        m, eta = 32, 0.03
+        grid, haar = AutoconvGrid(m), harness._haar_matrix(m)
+        y_exact = autoconv_apply(grid, build_truth(cfg.truth, build_operator(cfg.operator)))
+        y = np.stack([y_exact + eta * trial_rng(cfg.seed, t).standard_normal(m) for t in range(30)])
+        dlt = delta_eff(NoiseSpec(eta=eta, m=m), cfg.noise_mode)
+        lo, hi = tau1 * dlt, tau2 * dlt
+        y = y[np.linalg.norm(y, axis=1) > lo]  # the study solves no trivial row
+        ends = []
+        for row in y:
+            alpha, coeffs, residual, in_band = harness._alpha_continuation(
+                grid, haar, row[np.newaxis], lo, hi)
+            want = self._reference_search(grid, haar, row, lo, hi)
+            assert (alpha[0], residual[0], in_band[0]) == (want[0], want[2], want[3])
+            assert np.array_equal(coeffs[0], want[1])
+            ends.append("in" if want[3] else "above" if want[2] > hi else "below")
+        assert "above" in ends
+        assert ("in" in ends) == (tau1 < tau2)
+        assert "below" in ends or tau1 < tau2
+
+    def test_unconverged_solves_still_end_each_trial(self, monkeypatch):
+        # with 3 iterations per solve, unconverged end residuals steer the search
+        unconverged = []
+        solve = harness.prox_gradient_solve
+
+        def counting_solve(*args, **kwargs):
+            try:
+                return solve(*args, **kwargs)
+            except NonConvergence:
+                unconverged.append(1)
+                raise
+
+        monkeypatch.setattr(harness, "prox_gradient_solve", counting_solve)
+        monkeypatch.setattr(harness, "_MAX_ITER", 3)
+        cfg = parse_config(STUDY_CONFIGS["autoconv"])
+        together = run_study(cfg)
+        assert unconverged
+        for t in together.trials:
+            lo, hi = cfg.rule.tau1 * t.delta_eff, cfg.rule.tau2 * t.delta_eff
+            trivial = math.isinf(t.alpha_or_kstar) and t.residual <= lo
+            assert trivial or t.flagged or lo <= t.residual <= hi
+        monkeypatch.setattr(harness, "_BLOCK_DOUBLES", 32)  # one trial per block
+        alone = run_study(cfg)
+        for a, b in zip(together.trials, alone.trials, strict=True):
+            assert (a.eta, a.trial, a.flagged, a.truncated) == (b.eta, b.trial, b.flagged, b.truncated)
+            for field in ("alpha_or_kstar", "error", "error_truncated", "residual"):
+                assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9)
+
 
 class TestConstantLipschitz:
     # the autoconv step is set from this closed form in place of a power iteration
@@ -386,6 +464,24 @@ class TestBesovStudy:
         expected = besov_balance_alpha(params).alpha_tilde * 1e-6
         assert s.alpha_or_kstar == pytest.approx(expected, rel=1e-9)
         assert s.flagged_count == 0
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_balance_rule_reaches_the_lifted_rate(self, seed):
+        # criterion 7's problem under the balancing rule in place of kyfan-squared
+        cfg = parse_config({
+            "schema_version": 1, "study": "besov", "seed": seed,
+            "eta_grid": [3e-3, 1e-3, 3e-4, 1e-4, 3e-5], "trials_per_eta": 200,
+            "noise_level": {"mode": "kyfan-bound"},
+            "caps": {"norm": 100.0, "sup": 100.0},
+            "operator": {"kind": "haar-diagonal", "levels": 8, "decay": 1.0},
+            "truth": {"kind": "level-spikes", "norm": 1.0},
+            "rule": {"kind": "besov-balance", "constant": 1.0},
+            "solver": {"s": 1.0, "p": 1.0, "d": 1},
+        })
+        res = run_study(cfg)
+        assert all(s.flagged_count == 0 for s in res.summaries)
+        fit = fit_rate([(s.delta_eff, s.err_kyfan) for s in res.summaries])
+        assert abs(fit.slope - 1.5 / (1.5 + 1.0)) <= 0.1  # zeta / (zeta + beta)
 
     @pytest.mark.parametrize("p", [1.5, 1.0])
     def test_blocks_match_one_trial_at_a_time(self, monkeypatch, p):
@@ -579,6 +675,10 @@ class TestConfigValidation:
          r"config.eta_grid\[\*\]: expected a finite number"),
         # a linear operator is given by its singular values; no dense matrix is read
         ("filter", "operator", {"kind": "csv", "path": "a.csv"}, "not usable in the filter study"),
+        # autoconv's operator is the identity, so source-powerlaw's exponent would do nothing
+        ("autoconv", "truth", {"kind": "source-powerlaw", "exponent": 0.5, "power": -0.5,
+                               "norm": 1.0},
+         "config.truth: kind 'source-powerlaw' is not usable in the autoconv study"),
     ])
     def test_study_mismatch_fails_at_parse(self, study, key, value, match):
         raw = dict(STUDY_CONFIGS[study], **{key: value})
@@ -727,10 +827,10 @@ PINNED_SUMMARIES = {
          0.36573032660997884, 0.06794476544209921, 30, 0, 0, 0.2804104400362551, None),
     ],
     "besov": [
-        (0.001, 0.011313708498984762, 9.335215843294253e-08, 0.15812697214861207,
-         0.1763330782445417, 0.004096321120359548, 30, 0, 0, None, None),
-        (0.0001, 0.001131370849898476, 1.6397566499069325e-11, 0.038884135802787184,
-         0.04698597961911627, 4.64890982172936e-07, 30, 0, 0, None, None),
+        (0.001, 0.011313708498984762, 9.677432019609e-05, 0.02156742011096665,
+         0.027405710783919547, 0.007881735023463825, 30, 0, 0, None, None),
+        (0.0001, 0.001131370849898476, 1.073487373626932e-06, 0.00644886371191195,
+         0.007441248904328647, 0.0007321892645614623, 30, 0, 0, None, None),
     ],
     "nu-random": [
         (0.01, 0.10000000000000002, 1.0, 0.38698782908366053,

@@ -298,7 +298,7 @@ def _one_row(fn, *args, **kwargs):
 
 @st.composite
 def _diagonal_batches(draw):
-    """Rows of independent diagonal problems with per-row alpha, step and budget."""
+    """Rows of independent diagonal problems with per-row alpha and step, and one budget."""
     rows = draw(st.integers(min_value=1, max_value=5))
     n = draw(st.integers(min_value=1, max_value=12))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
@@ -307,7 +307,7 @@ def _diagonal_batches(draw):
     y = gen.standard_normal((rows, n)) * draw(st.sampled_from([0.1, 1.0, 10.0]))
     alpha = 10.0 ** gen.uniform(-4.0, 1.0, rows)
     step = gen.uniform(0.2, 1.0, rows)
-    budget = gen.integers(0, 400, rows)
+    budget = int(gen.integers(0, 400))
     x0 = gen.standard_normal((rows, n))
     return sigma, y, alpha, step, budget, x0
 
@@ -330,7 +330,7 @@ class TestBatchedSolves:
         for i in range(y.shape[0]):
             one = _one_row(
                 prox_gradient_solve, fwd, adj, y[i:i + 1], alpha=alpha[i], step=step[i],
-                x0=x0[i:i + 1], tol=1e-9, max_iter=int(budget[i]),
+                x0=x0[i:i + 1], tol=1e-9, max_iter=budget,
             )
             assert batch.row_iterations[i] == one.iterations
             assert batch.converged[i] == one.converged[0]
@@ -345,13 +345,13 @@ class TestBatchedSolves:
         y = autoconv_apply(grid, x0 + 0.05 * gen.standard_normal((4, 32)))
         fwd = lambda x: autoconv_apply(grid, x)  # noqa: E731
         adj = lambda x, r: autoconv_derivative_adjoint_apply(grid, x, r)  # noqa: E731
-        alpha, step, budget = np.array([1e-2, 1e-1, 1.0, 1e-3]), 0.2, np.array([400, 50, 400, 5])
+        alpha, step = np.array([1e-2, 1e-1, 1.0, 1e-3]), 0.2
         batch = _one_row(prox_gradient_solve, fwd, adj, y, alpha=alpha, step=step,
-                         x0=x0, tol=1e-6, max_iter=budget)
+                         x0=x0, tol=1e-6, max_iter=50)
         assert not batch.converged.all() and batch.converged.any()
         for i in range(4):
             one = _one_row(prox_gradient_solve, fwd, adj, y[i:i + 1], alpha=alpha[i], step=step,
-                           x0=x0[i:i + 1], tol=1e-6, max_iter=int(budget[i]))
+                           x0=x0[i:i + 1], tol=1e-6, max_iter=50)
             assert batch.row_iterations[i] == one.iterations
             assert np.max(np.abs(batch.solution[i] - one.solution[0])) <= 1e-12 * np.max(np.abs(one.solution))
 
@@ -391,6 +391,11 @@ class TestBatchedSolves:
             prox_gradient_solve(
                 lambda x: x, lambda x, r: r, np.ones((2, 3)), alpha=[0.1, 0.2, 0.3], step=1.0,
                 x0=np.zeros((2, 3)), tol=1e-9, max_iter=10,
+            )
+        with pytest.raises(TypeError):  # one budget for every row
+            prox_gradient_solve(
+                lambda x: x, lambda x, r: r, np.ones((2, 3)), alpha=0.1, step=1.0,
+                x0=np.zeros((2, 3)), tol=1e-9, max_iter=[10, 20],
             )
 
 

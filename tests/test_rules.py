@@ -295,6 +295,43 @@ class TestBesovBalance:
             besov_balance_alpha(bad)
         assert len(info.value.scan) > 100
 
+    def test_skips_the_vacuous_root(self):
+        from kyfanreg.rules import _besov_sides
+
+        # a first root near alpha~ = 2.97 balances at LHS = RHS = 1, where the
+        # tail bound says nothing; the rule returns the second one
+        lhs, rhs = _besov_sides(self.params, 2.971)
+        assert lhs == pytest.approx(1.0, abs=1e-3) and rhs == pytest.approx(1.0, abs=1e-3)
+        result = besov_balance_alpha(self.params)
+        assert result.alpha_tilde == pytest.approx(536.4, rel=1e-3)
+        assert result.rhs == pytest.approx(0.22, abs=0.01)
+
+    @staticmethod
+    def _sides_with_roots(rhs_levels):
+        # LHS - RHS = sin(pi (t - 0.3) / 8) in t = log10(alpha~): roots at
+        # t = -7.7, 0.3 and 8.3, where RHS is rhs_levels[0], [1] and [2]
+        def sides(params, alpha_tilde):
+            t = math.log10(alpha_tilde)
+            rhs = rhs_levels[0] if t < -4.0 else rhs_levels[1] if t < 4.0 else rhs_levels[2]
+            return rhs + math.sin(math.pi * (t - 0.3) / 8.0), rhs
+        return sides
+
+    def test_returns_the_root_with_the_smallest_bound(self, monkeypatch):
+        from kyfanreg import rules
+
+        monkeypatch.setattr(rules, "_besov_sides", self._sides_with_roots((0.9, 0.5, 0.7)))
+        result = besov_balance_alpha(self.params)  # neither the first root nor the last
+        assert math.log10(result.alpha_tilde) == pytest.approx(0.3, abs=1e-6)
+        assert result.rhs == 0.5
+
+    def test_only_vacuous_roots_raise_with_the_scan(self, monkeypatch):
+        from kyfanreg import rules
+
+        monkeypatch.setattr(rules, "_besov_sides", self._sides_with_roots((1.2, 1.0, 1.5)))
+        with pytest.raises(NoBracket, match="3 root") as info:
+            besov_balance_alpha(self.params)
+        assert len(info.value.scan) == rules._SCAN_POINTS
+
 
 class TestTikhonovRatePredict:
     rhos = np.logspace(-1, -6, 6)
