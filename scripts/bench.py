@@ -9,8 +9,9 @@ metrics) and with ``--trace 1`` (per-layer metrics), and keeps the JSON
 object each prints last. It then times the tier-1 suite and reads each
 ``ACCEPTANCE <n> ... [x s / budget y s]`` line. The file, written to the
 root of the checkout, also records ``nproc``, the Python, numpy and BLAS
-versions and the git commit; ``git_dirty`` is true when tracked files
-differ from that commit.
+versions, the git commit and ``src_lines``, the line count of
+``src/kyfanreg/*.py``; ``git_dirty`` is true when tracked files differ from
+that commit.
 """
 
 from __future__ import annotations
@@ -86,6 +87,8 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": _blas(),
+        "src_lines": sum(len(path.read_text().splitlines())
+                         for path in (ROOT / "src" / "kyfanreg").glob("*.py")),
         "seed": SEED,
         "seconds": seconds,
         "workloads": {},

@@ -21,8 +21,8 @@ operator       : study-dependent operator spec (see below)
 truth          : study-dependent ground-truth spec
 rule           : parameter-choice rule spec
 solver         : optional study-specific keys (see _STUDY_SPECS; autoconv
-                 takes none); integer keys must be at least 1, and besov
-                 needs p in [1, 2] and zeta = s - d(1/2 - 1/p) > 0
+                 and nu-random take none); integer keys must be at least
+                 1, and besov needs p in [1, 2] and zeta = s - d(1/2 - 1/p) > 0
 
 Operator specs: a linear operator is given by its singular values, in its
 singular basis: {kind: diagonal, singular_values: [...]} (non-increasing),
@@ -43,7 +43,7 @@ magnitudes 2^(-zeta*level), scaled to Besov norm r).
 Rule specs: {kind: apriori, beta, nu, rho, constant},
 {kind: discrepancy, tau1, tau2}, {kind: discrepancy-stop, tau_hat},
 {kind: fixed, alpha}, {kind: kyfan-squared, scale} for
-alpha = scale * rho_K^2 / rho^p, and {kind: besov-balance, constant} for
+alpha = scale * rho_K^2 / rho^p, and {kind: besov-balance} for
 alpha = alpha_tilde(eta) * eta^2 with alpha_tilde from the balancing
 equation.  The discrepancy rule solves by Tikhonov, so the filter study
 rejects it with the tsvd filter.
@@ -100,15 +100,9 @@ class KyFanSquared:
 class BesovBalanceRule:
     """Choose alpha by the balancing equation: alpha = alpha_tilde(eta) * eta^2.
 
-    The per-eta balance parameters are completed from the study context
-    (dimension, smoothness, prior radius); only the rate constant is free.
+    The balance parameters come from the study (dimension, smoothness,
+    prior radius), with rate constant 1.
     """
-
-    constant: float = 1.0
-
-    def __post_init__(self):
-        if not (self.constant > 0.0):
-            raise ConfigError(f"besov-balance constant must be positive, got {self.constant!r}")
 
 
 @dataclass(frozen=True)
@@ -238,7 +232,7 @@ _RULE_SCHEMAS = {
     "discrepancy-stop": (DiscrepancyStop, {"tau_hat": float}, {}),
     "fixed": (Fixed, {"alpha": float}, {}),
     "kyfan-squared": (KyFanSquared, {}, {"scale": (float, 1.0)}),
-    "besov-balance": (BesovBalanceRule, {}, {"constant": (float, 1.0)}),
+    "besov-balance": (BesovBalanceRule, {}, {}),
 }
 
 # What each study runs: its operator, truth and rule kinds, and its solver
@@ -269,7 +263,7 @@ _STUDY_SPECS = {
         "operator": _DIAGONAL_KINDS,
         "truth": ("random-source",),
         "rule": ("discrepancy-stop",),
-        "solver": {"kmax": (int, 10**7)},
+        "solver": {},
     },
 }
 

@@ -336,25 +336,32 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target):
     Every solve of a row takes the same step: _STEP_SAFETY over
     ||F'(x0)||^2, taken exactly from its closed form at the row's constant
     initial fit x0.  Returns each row's last alpha, Haar coefficients and
-    residual, and whether it ended in the band.
+    residual, and whether it is flagged: searched, and ended outside the
+    band.  A row with ||y|| <= lo_target is trivial, by the test of
+    ``discrepancy_alpha``: it keeps alpha = inf, zero coefficients and
+    residual ||y||, unflagged, and is never solved.
     """
     rows = len(y)
-    x0 = _constant_fit_init(grid, y)
-    coeffs = x0 @ haar.T
+    residual = _row_norms(y)
+    searching = np.flatnonzero(residual > lo_target)
+    x0 = _constant_fit_init(grid, y[searching])
+    coeffs = np.zeros_like(y)
+    coeffs[searching] = x0 @ haar.T
     # positive: the fit's level c is at least 1e-3
-    step = _STEP_SAFETY / _constant_lipschitz(grid, x0[:, 0])
+    step = np.zeros(rows)
+    step[searching] = _STEP_SAFETY / _constant_lipschitz(grid, x0[:, 0])
 
     # start above the kill-everything alpha (prox fixed point at the init
     # needs alpha >= 2 max|gradient|), then continue downward
-    grad0 = autoconv_derivative_adjoint_apply(grid, x0, autoconv_apply(grid, x0) - y) @ haar.T
-    alpha = np.maximum(4.0 * np.max(np.abs(grad0), axis=1), 1e-12)
+    grad0 = autoconv_derivative_adjoint_apply(
+        grid, x0, autoconv_apply(grid, x0) - y[searching]) @ haar.T
+    alpha = np.full(rows, math.inf)
+    alpha[searching] = np.maximum(4.0 * np.max(np.abs(grad0), axis=1), 1e-12)
     del x0, grad0
     alpha_hi = np.full(rows, math.nan)
     alpha_lo = np.full(rows, math.nan)
     last_alpha = alpha.copy()
-    residual = np.empty(rows)
-    in_band = np.zeros(rows, dtype=bool)
-    searching = np.arange(rows)
+    flagged = np.zeros(rows, dtype=bool)
     for _ in range(_MAX_ALPHA_STEPS):
         if not searching.size:
             break
@@ -366,7 +373,7 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target):
         a = last_alpha[searching] = alpha[searching]
         del report  # the next solve need not hold this one's arrays
         above, below = res > hi_target, res < lo_target
-        in_band[searching] = ~(above | below)
+        flagged[searching] = above | below
         up, down = searching[above], searching[below]
         alpha_hi[up] = a[above]
         alpha_lo[down] = a[below]
@@ -378,7 +385,7 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target):
         # apart has no in-band alpha on this branch: it keeps its closest attempt
         jumped = alpha_hi[searching] / alpha_lo[searching] < 1.02
         searching = searching[(above | below) & ~jumped]
-    return last_alpha, coeffs, residual, in_band
+    return last_alpha, coeffs, residual, flagged
 
 
 # The autoconv alpha search: a solve stops at step _TOL or after _MAX_ITER
@@ -402,22 +409,12 @@ def _autoconv_study(cfg: ExperimentConfig):
 
         def solve_block(block, rngs):
             y_noisy = np.stack([y_exact + eta * rng.standard_normal(m) for rng in rngs])
-            # trivial data: the zero solution already satisfies the bound
-            trivial = np.linalg.norm(y_noisy, axis=1) <= lo_target
-            alphas, coeffs, residuals, in_band = _alpha_continuation(
-                grid, haar, y_noisy[~trivial], lo_target, hi_target,
+            alpha, coeffs, residual, flagged = _alpha_continuation(
+                grid, haar, y_noisy, lo_target, hi_target,
             )
-            alpha = np.full(len(block), math.inf)
-            alpha[~trivial] = alphas
-            x = np.zeros_like(y_noisy)
-            x[~trivial] = coeffs @ haar
-            residual = _row_norms(y_noisy)
-            residual[~trivial] = residuals
-            flagged = np.zeros(len(block), dtype=bool)
-            flagged[~trivial] = ~in_band
             # a trivial trial's ratio delta^2 / inf is 0
-            return _trial_results(cfg, eta, block, dlt, alpha, x, x_true, residual, flagged,
-                                  ratios=dlt**2 / alpha)
+            return _trial_results(cfg, eta, block, dlt, alpha, coeffs @ haar, x_true, residual,
+                                  flagged, ratios=dlt**2 / alpha)
 
         return solve_block, None
 
@@ -457,7 +454,7 @@ def _besov_study(cfg: ExperimentConfig):
         else:
             params = BesovBalanceParams(
                 eta=eta, m=n, n=n, p=p, rho=rho, zeta=bw.zeta,
-                beta=cfg.operator["decay"], constant=cfg.rule.constant,
+                beta=cfg.operator["decay"],
             )
             try:
                 alpha = besov_balance_alpha(params).alpha_tilde * eta**2
@@ -517,13 +514,17 @@ def _landweber_stop_index(q2: np.ndarray, y_sq: np.ndarray, threshold: float, km
     return np.where(reached, hi, kmax), reached
 
 
+# The nu-random study's Landweber stop: a trial that has not met the
+# discrepancy threshold after _KMAX steps stops there, flagged.
+_KMAX = 10**7
+
+
 def _nu_random_study(cfg: ExperimentConfig):
     op = build_operator(cfg.operator)
     sigma = op.singular_values
     m = sigma.size
     v = build_truth(cfg.truth, op)  # the source vector; nu is drawn per trial
     gamma = 0.9 / float(sigma[0] ** 2)  # a Landweber step that contracts
-    kmax = cfg.solver["kmax"]
     q = 1.0 - gamma * sigma**2
     q2 = q * q
 
@@ -535,7 +536,7 @@ def _nu_random_study(cfg: ExperimentConfig):
             x_true = _row_powers(sigma, two_nu) * v
             y_noisy = sigma * x_true + eta * noise
             k_star, reached = _landweber_stop_index(
-                q2, y_noisy * y_noisy, cfg.rule.tau_hat * dlt, kmax)
+                q2, y_noisy * y_noisy, cfg.rule.tau_hat * dlt, _KMAX)
             x = filter_reconstruct(op, y_noisy, LandweberFilter(k_star, gamma))
             return _trial_results(cfg, eta, block, dlt, k_star.astype(float), x, x_true,
                                   _row_norms(sigma * x - y_noisy), ~reached)

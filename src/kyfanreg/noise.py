@@ -176,27 +176,18 @@ def tail_prob_tau(tau: float, m: int) -> float:
 
 
 def empirical_kyfan(sample: EmpiricalSample) -> float:
-    """Exact empirical plug-in Ky Fan estimate by a single sorted scan.
+    """Exact empirical plug-in Ky Fan estimate, inf{eps : #(d > eps)/n <= eps}.
 
-    Uses the strict inequality d > eps and resolves the infimum exactly at
-    the sorted sample values (the empirical tail is evaluated from the
-    right at ties).
+    With the sample sorted, d_(1) <= ... <= d_(n), and d_(0) = 0, the
+    infimum is min_k max(d_(k), (n - k)/n): at most n - k values exceed
+    d_(k), and between two sample values the tail count is constant.
     """
-    # exact infimum of {eps > 0 : #(d > eps)/n < eps} on the empirical law
     n = sample.distances.size
-    vals, counts = np.unique(sample.distances, return_counts=True)
-    exceed = (n - np.cumsum(counts)) / n  # step value of P(d > eps) on [v_j, v_{j+1})
-    if vals[0] > 0.0:
-        left = np.concatenate(([0.0], vals))
-        step = np.concatenate(([1.0], exceed))
-        right = np.concatenate((vals, [np.inf]))
-    else:
-        left = vals
-        step = exceed
-        right = np.concatenate((vals[1:], [np.inf]))
-    feasible = step < right
-    j = int(np.argmax(feasible))  # first feasible interval gives the infimum
-    return float(max(left[j], step[j]))
+    d = np.concatenate(([0.0], sample.distances))  # d_(0) = 0 sorts first: no d is negative
+    d.sort()
+    tail = np.arange(n, -1, -1, dtype=float)
+    tail /= n  # (n - k)/n
+    return float(np.min(np.maximum(d, tail, out=tail)))
 
 
 def tau_schedule(spec: NoiseSpec, kind: ConstantTau | LogInflatingTau) -> float:

@@ -41,7 +41,9 @@ __all__ = [
 class SvdOperator:
     """Compact linear operator in its singular basis: (A x)_n = sigma_n x_n.
 
-    ``singular_values`` must be finite, non-increasing and nonnegative.
+    ``singular_values`` must be finite, non-increasing and nonnegative, with
+    a finite square (at most about 1.34e154): filters and rules work with
+    sigma^2.
     """
 
     singular_values: np.ndarray
@@ -54,6 +56,9 @@ class SvdOperator:
             raise ValueError("singular_values must be a non-empty 1-d array")
         if not np.all(np.isfinite(s)):
             raise ValueError("singular values must be finite")
+        largest = float(np.max(s))
+        if math.isinf(largest * largest):
+            raise ValueError(f"singular values must have a finite square, got {largest!r}")
         if np.any(s < 0):
             raise ValueError("singular values must be nonnegative")
         if np.any(np.diff(s) > 1e-12 * max(1.0, s[0])):

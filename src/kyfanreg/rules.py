@@ -14,6 +14,7 @@ batched Landweber stop search, ``harness._landweber_stop_index``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -154,9 +155,10 @@ def discrepancy_alpha(op, y, delta_eff: float, rule: Discrepancy) -> Discrepancy
     bound.  As alpha -> 0 the residual falls to the norm of the data on the
     zero singular values; a row whose floor exceeds tau2*delta, whose
     residual stays above the band down to alpha = 1e-300, or whose
-    bisection collapses onto a residual outside the band (its alpha lies
-    past the upward sweep's cap, as at sigma_1 = 1e150 on data of norm 1)
-    is infeasible, with alpha = inf.
+    bisection collapses onto a residual outside the band is infeasible,
+    with alpha = inf.  The upward sweep stops before sigma_1^2 + alpha
+    could overflow, so a band whose alpha is not a finite double (from
+    sigma_1 ~ 5e153 up on data of norm 1) collapses below the band.
     """
     if not (delta_eff > 0.0):
         raise ValueError(f"delta_eff must be positive, got {delta_eff!r}")
@@ -174,20 +176,21 @@ def discrepancy_alpha(op, y, delta_eff: float, rule: Discrepancy) -> Discrepancy
 
     work = np.flatnonzero(~trivial & ~infeasible)
     scale = max(float(s[0]) ** 2, 1e-30)
-    hi = np.full(rows, scale)
-    evals[work] = 1
+    # the sweep's cap: sigma^2 + alpha stays finite up to it
+    alpha_max = sys.float_info.max - float(np.max(s2))
+    hi = np.full(rows, min(scale, alpha_max))
     sweep = work
     while sweep.size:
-        sweep = sweep[_tikhonov_residual_norm(s2, y[sweep], hi[sweep]) < lo_target]
-        hi[sweep] *= 10.0
         evals[sweep] += 1
-        sweep = sweep[hi[sweep] <= 1e300]
+        sweep = sweep[_tikhonov_residual_norm(s2, y[sweep], hi[sweep]) < lo_target]
+        sweep = sweep[hi[sweep] <= alpha_max / 10.0]
+        hi[sweep] *= 10.0
     lo = np.minimum(hi, scale * 1e-12)
     sweep = work
     while sweep.size:
+        evals[sweep] += 1
         sweep = sweep[_tikhonov_residual_norm(s2, y[sweep], lo[sweep]) > hi_target]
         lo[sweep] /= 10.0
-        evals[sweep] += 1
         infeasible[sweep[lo[sweep] < 1e-300]] = True
         sweep = sweep[lo[sweep] >= 1e-300]
 
@@ -204,8 +207,8 @@ def discrepancy_alpha(op, y, delta_eff: float, rule: Discrepancy) -> Discrepancy
         lo[active[below]] = a[below]
         hi[active[above]] = a[above]
         # a collapsed bracket ends the row: under a zero-width band its
-        # residual is in the band to roundoff; one whose band lies past the
-        # sweep's cap (sigma_1 ~ 1e150 up) collapses below it, infeasible
+        # residual is in the band to roundoff; one whose band alpha is past
+        # the largest double (sigma_1 ~ 5e153 up) collapses below it, infeasible
         moving = below | above
         collapsed = moving & (hi[active] / lo[active] < 1.0 + 1e-14)
         in_band = (lo_target * (1.0 - 1e-9) <= res) & (res <= hi_target * (1.0 + 1e-9))
@@ -347,12 +350,12 @@ class TikhonovRateModel:
     ``phi_cl(xi)`` bounds the probability that the closedness product
     exceeds xi; ``phi_de(tau)`` bounds the probability that the source
     element norm exceeds tau.  Both must accept numpy arrays.  The
-    regularization parameter inside the bound is ``rho_K**alpha_exponent``.
+    regularization parameter inside the bound is ``rho_K**alpha_exponent``;
+    the constant in front of the error term is 1.
     """
 
     phi_cl: Callable
     phi_de: Callable
-    rate_constant: float = 1.0
     alpha_exponent: float = 1.0
 
 
@@ -374,9 +377,9 @@ def tikhonov_rate_predict(rho_k: float, model: TikhonovRateModel) -> RatePredict
     """Exhaustive inf-max bound evaluation over ``_XI_GRID`` x ``_TAU_GRID``.
 
     Evaluates max{rho_K + phi_cl(xi) + phi_de(tau),
-    c (rho_K + alpha tau) / (sqrt(alpha) sqrt(1 - xi))} on the grid and
-    returns the minimum with its minimizing (xi, tau); ties resolve to the
-    smallest flat grid index.
+    (rho_K + alpha tau) / (sqrt(alpha) sqrt(1 - xi))} on the grid, with
+    alpha = rho_K**model.alpha_exponent, and returns the minimum with its
+    minimizing (xi, tau); ties resolve to the smallest flat grid index.
     """
     if not (0.0 < rho_k <= 1.0):
         raise ValueError(f"rho_k must lie in (0, 1], got {rho_k!r}")
@@ -385,40 +388,34 @@ def tikhonov_rate_predict(rho_k: float, model: TikhonovRateModel) -> RatePredict
     tail = rho_k + np.asarray(model.phi_cl(xi), dtype=float)[:, None] + np.asarray(
         model.phi_de(tau), dtype=float
     )[None, :]
-    err = (
-        model.rate_constant
-        * (rho_k + alpha * tau[None, :])
-        / (math.sqrt(alpha) * np.sqrt(1.0 - xi)[:, None])
-    )
+    err = (rho_k + alpha * tau[None, :]) / (math.sqrt(alpha) * np.sqrt(1.0 - xi)[:, None])
     bound = np.maximum(tail, err)
     flat = int(np.argmin(bound))
     i, j = np.unravel_index(flat, bound.shape)
     return RatePrediction(bound=float(bound[i, j]), xi=float(xi[i]), tau=float(tau[j]))
 
 
-def uniform_source_model(rate_constant: float = 1.0) -> TikhonovRateModel:
+def uniform_source_model() -> TikhonovRateModel:
     """Source norm uniform on [0, 1]: phi_cl = 1 - xi, phi_de = (1 - tau)_+."""
     return TikhonovRateModel(
         phi_cl=lambda xi: 1.0 - xi,
         phi_de=lambda tau: np.maximum(1.0 - tau, 0.0),
-        rate_constant=rate_constant,
     )
 
 
-def heavy_tail_model(c: float = 0.25, exponent: float = 1.0) -> TikhonovRateModel:
-    """phi_de = c tau^-e with a closedness tail bounded below by c."""
+def heavy_tail_model(c: float = 0.25) -> TikhonovRateModel:
+    """phi_de = c / tau with a closedness tail bounded below by c."""
     return TikhonovRateModel(
         phi_cl=lambda xi: np.full_like(np.asarray(xi, dtype=float), c),
-        phi_de=lambda tau: c * np.asarray(tau, dtype=float) ** (-exponent),
+        phi_de=lambda tau: c * np.asarray(tau, dtype=float) ** -1.0,
     )
 
 
-def combined_model(c: float = 1.0, rate_constant: float = 1.0) -> TikhonovRateModel:
-    """phi_cl = 1 - xi and phi_de = c/(1 + tau) with alpha ~ rho_K^(5/4)."""
+def combined_model() -> TikhonovRateModel:
+    """phi_cl = 1 - xi and phi_de = 1/(1 + tau) with alpha ~ rho_K^(5/4)."""
     return TikhonovRateModel(
         phi_cl=lambda xi: 1.0 - xi,
-        phi_de=lambda tau: c / (1.0 + np.asarray(tau, dtype=float)),
-        rate_constant=rate_constant,
+        phi_de=lambda tau: 1.0 / (1.0 + np.asarray(tau, dtype=float)),
         alpha_exponent=1.25,
     )
 

@@ -27,6 +27,7 @@ from kyfanreg import (
     sample_noise,
     tail_prob_tau,
     tikhonov_rate_predict,
+    trial_rng,
     uniform_source_model,
 )
 from kyfanreg.operators import (
@@ -322,4 +323,66 @@ def test_criterion_9_convergence_without_a_source_condition(capsys):
            f"capped etas {largest_rise:.3g} (<= 0), last/first {errs[-1] / errs[0]:.3f} (<= 0.5); "
            f"delta^2/alpha {ratios[0]:.3g} -> {ratios[-1]:.3g} (must fall); "
            f"{sum(s.flagged_count for s in res.summaries)} flagged",
+           elapsed, 30.0)
+
+
+def test_criterion_10_lifting_mechanism_trial_by_trial(capsys):
+    # The lifting theorem, trial by trial, on criterion 3's problem
+    # (x = (A*A)^(1/2) z, ||z|| = 5.25).  Good event ||eps|| <= delta_eff:
+    # the Tikhonov error obeys its deterministic bound at that delta,
+    # sqrt(alpha) ||z|| / 2 + delta_eff / (2 sqrt(alpha)), where 1/2 is
+    # mu^mu (1 - mu)^(1 - mu) at mu = 1/2.  Bad event ||eps|| > delta_eff:
+    # its frequency is at most delta_eff, up to 3 binomial sd, which is what
+    # a Ky Fan level means.
+    start = time.perf_counter()
+    source_norm = 5.25
+    rules = (
+        {"kind": "apriori", "beta": 0.5, "nu": 1.0, "rho": 5.25, "constant": 1.575},
+        {"kind": "discrepancy", "tau1": 1.1, "tau2": 1.3},
+    )
+    sizes = ((200, 200, [1e-1, 3e-2, 1e-2, 3e-3, 1e-3]), (16, 2000, [3e-2, 1e-2, 3e-3, 1e-3]))
+    worst_ratio, good_trials, tightest = 0.0, 0, None
+    ok = True
+    for n, trials, etas in sizes:
+        # the study's own draw: trial t at eta index i reads trial_rng(seed, i << 32 | t)
+        noise_norms = [
+            np.array([np.linalg.norm(eta * trial_rng(42, (i << 32) | t).standard_normal(n))
+                      for t in range(trials)])
+            for i, eta in enumerate(etas)
+        ]
+        for rule in rules:
+            res = run_study(parse_config({
+                "schema_version": 1,
+                "study": "filter",
+                "seed": 42,
+                "eta_grid": etas,
+                "trials_per_eta": trials,
+                "noise_level": {"mode": "kyfan-bound"},
+                "caps": {"norm": 100.0, "sup": 100.0},
+                "operator": {"kind": "diagonal-powerlaw", "size": n, "decay": 1.0},
+                "truth": {"kind": "source-powerlaw", "exponent": 0.5, "power": -0.5,
+                          "norm": source_norm},
+                "rule": rule,
+            }))
+            for i, summary in enumerate(res.summaries):
+                records = res.trials[i * trials:(i + 1) * trials]
+                delta = summary.delta_eff
+                for record, norm in zip(records, noise_norms[i], strict=True):
+                    alpha = record.alpha_or_kstar
+                    if norm <= delta and math.isfinite(alpha):
+                        bound = 0.5 * math.sqrt(alpha) * source_norm + delta / (2.0 * math.sqrt(alpha))
+                        worst_ratio = max(worst_ratio, record.error / bound)
+                        good_trials += 1
+                bad = int(np.sum(noise_norms[i] > delta))
+                allowed = trials * (delta + 3.0 * math.sqrt(delta * (1.0 - delta) / trials))
+                ok = ok and bad <= allowed
+                if delta < 1.0 and (tightest is None or allowed - bad < tightest[0]):
+                    tightest = (allowed - bad, bad, allowed, n, etas[i])
+    ok = ok and good_trials > 0 and worst_ratio <= 1.0
+    elapsed = time.perf_counter() - start
+    margin, bad, allowed, n, eta = tightest
+    report(capsys, 10, ok,
+           f"good event: worst error/bound {worst_ratio:.3f} (<= 1) over {good_trials} trials; "
+           f"bad event: tightest margin {margin:.1f} trials ({bad} of at most {allowed:.1f} "
+           f"at n = {n}, eta = {eta:g})",
            elapsed, 30.0)

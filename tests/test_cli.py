@@ -3,6 +3,7 @@ import math
 import pytest
 import yaml
 
+from kyfanreg import harness
 from kyfanreg.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from kyfanreg.config import parse_config
 from kyfanreg.harness import read_summaries, run_study
@@ -57,6 +58,21 @@ def small_nu_random_config():
         "operator": {"kind": "diagonal-powerlaw", "size": 30, "decay": 1.0},
         "truth": {"kind": "random-source", "power": -0.5, "norm": 1.0},
         "rule": {"kind": "discrepancy-stop", "tau_hat": 2.5},
+    }
+
+
+def small_besov_config():
+    return {
+        "schema_version": 1,
+        "study": "besov",
+        "seed": 3,
+        "eta_grid": [1e-3],
+        "trials_per_eta": 30,
+        "noise_level": {"mode": "kyfan-bound"},
+        "caps": {"norm": 100.0, "sup": 100.0},
+        "operator": {"kind": "haar-diagonal", "levels": 4, "decay": 1.0},
+        "truth": {"kind": "level-spikes", "norm": 1.0},
+        "rule": {"kind": "kyfan-squared"},
     }
 
 
@@ -147,12 +163,12 @@ class TestRunCommands:
         assert capsys.readouterr().out.encode() == out_path.read_bytes()
 
     def test_string_solver_value_is_config_error(self, tmp_path, capsys):
-        raw = small_nu_random_config()
-        cfg = tmp_path / "nu.yaml"
-        # 1e7 without a dot is a string to PyYAML
-        cfg.write_text(yaml.safe_dump(raw) + "solver: {kmax: 1e7}\n")
-        assert main(["run", "nu-random", "--config", str(cfg)]) == EXIT_CONFIG
-        assert "config.solver.kmax" in capsys.readouterr().err
+        raw = small_besov_config()
+        cfg = tmp_path / "besov.yaml"
+        # 1e-6 without a dot is a string to PyYAML
+        cfg.write_text(yaml.safe_dump(raw) + "solver: {s: 1e-6}\n")
+        assert main(["run", "besov", "--config", str(cfg)]) == EXIT_CONFIG
+        assert "config.solver.s: expected a number" in capsys.readouterr().err
 
     def test_infinite_eta_is_config_error(self, tmp_path, capsys):
         raw = dict(small_filter_config(), eta_grid=[math.inf, 1e-2])
@@ -201,32 +217,20 @@ class TestRunCommands:
         code = main(["run", "filter-study", "--config", str(tmp_path / "none.yaml")])
         assert code == EXIT_CONFIG
 
-    def test_nu_random_stdout_and_numerical_failure(self, tmp_path, capsys):
-        raw = {
-            "schema_version": 1,
-            "study": "nu-random",
-            "seed": 3,
-            "eta_grid": [1e-3],
-            "trials_per_eta": 30,
-            "noise_level": {"mode": "kyfan-bound"},
-            "caps": {"norm": 100.0, "sup": 100.0},
-            "operator": {"kind": "diagonal-powerlaw", "size": 30, "decay": 1.0},
-            "truth": {"kind": "random-source", "power": -0.5, "norm": 1.0},
-            "rule": {"kind": "discrepancy-stop", "tau_hat": 2.5},
-            "solver": {"kmax": 2},  # unreachable stopping index: flagged trials
-        }
-        cfg = write_config(tmp_path / "nu.yaml", raw)
+    def test_nu_random_stdout_and_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path / "nu.yaml", small_nu_random_config())
+        monkeypatch.setattr(harness, "_KMAX", 2)  # unreachable stopping index: flagged trials
         assert main(["run", "nu-random", "--config", cfg]) == EXIT_NUMERICAL
-        raw["solver"] = {}
-        cfg = write_config(tmp_path / "nu2.yaml", raw)
+        monkeypatch.undo()
         assert main(["run", "nu-random", "--config", cfg]) == EXIT_OK
 
     def test_zero_kmax_is_config_error(self, tmp_path, capsys):
-        raw = dict(small_nu_random_config(), solver={"kmax": 0})  # no step would be taken
+        # the study fixes its step cap: kmax is no solver key, at any value
+        raw = dict(small_nu_random_config(), solver={"kmax": 0})
         cfg = write_config(tmp_path / "nu.yaml", raw)
         assert main(["run", "nu-random", "--config", cfg]) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert "config.solver.kmax" in captured.err and captured.out == ""
+        assert "config.solver: unknown key(s) ['kmax']" in captured.err and captured.out == ""
 
     def test_autoconv_size_not_power_of_two_is_config_error(self, tmp_path, capsys):
         raw = dict(small_autoconv_config(), operator={"kind": "autoconv", "size": 100})

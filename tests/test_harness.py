@@ -28,7 +28,7 @@ from kyfanreg.operators import (
     autoconv_derivative_adjoint_apply,
     autoconv_derivative_apply,
 )
-from kyfanreg.regularization import NonConvergence, operator_norm_squared
+from kyfanreg.regularization import NonConvergence, _row_norms, operator_norm_squared
 
 rng = np.random.default_rng(3)
 
@@ -373,18 +373,40 @@ class TestAutoconvStudy:
         y = np.stack([y_exact + eta * trial_rng(cfg.seed, t).standard_normal(m) for t in range(30)])
         dlt = delta_eff(NoiseSpec(eta=eta, m=m), cfg.noise_mode)
         lo, hi = tau1 * dlt, tau2 * dlt
-        y = y[np.linalg.norm(y, axis=1) > lo]  # the study solves no trivial row
+        y = y[np.linalg.norm(y, axis=1) > lo]  # trivial rows: see the next test
         ends = []
         for row in y:
-            alpha, coeffs, residual, in_band = harness._alpha_continuation(
+            alpha, coeffs, residual, flagged = harness._alpha_continuation(
                 grid, haar, row[np.newaxis], lo, hi)
             want = self._reference_search(grid, haar, row, lo, hi)
-            assert (alpha[0], residual[0], in_band[0]) == (want[0], want[2], want[3])
+            assert (alpha[0], residual[0], flagged[0]) == (want[0], want[2], not want[3])
             assert np.array_equal(coeffs[0], want[1])
             ends.append("in" if want[3] else "above" if want[2] > hi else "below")
         assert "above" in ends
         assert ("in" in ends) == (tau1 < tau2)
         assert "below" in ends or tau1 < tau2
+
+    def test_trivial_rows_are_decided_inside_the_search(self):
+        # a row with ||y|| <= lo keeps the zero solution, unflagged, and the
+        # other rows of its block are searched exactly as without it
+        cfg = parse_config(STUDY_CONFIGS["autoconv"])
+        m, eta = 32, 0.03
+        grid, haar = AutoconvGrid(m), harness._haar_matrix(m)
+        y_exact = autoconv_apply(grid, build_truth(cfg.truth, build_operator(cfg.operator)))
+        y = np.stack([y_exact + eta * trial_rng(cfg.seed, t).standard_normal(m) for t in range(8)])
+        y[[1, 4]] *= 1e-3
+        y[6] = 0.0
+        dlt = delta_eff(NoiseSpec(eta=eta, m=m), cfg.noise_mode)
+        lo, hi = 1.1 * dlt, 1.3 * dlt
+        trivial = np.isin(np.arange(8), [1, 4, 6])
+        alpha, coeffs, residual, flagged = harness._alpha_continuation(grid, haar, y, lo, hi)
+        assert np.all(np.isinf(alpha[trivial])) and not np.any(coeffs[trivial])
+        assert np.array_equal(residual[trivial], _row_norms(y[trivial]))
+        assert not np.any(flagged[trivial])
+        searched = harness._alpha_continuation(grid, haar, y[~trivial], lo, hi)
+        for got, want in zip((alpha, coeffs, residual, flagged), searched, strict=True):
+            assert np.array_equal(got[~trivial], want)
+        assert np.all(np.isfinite(alpha[~trivial]))
 
     def test_unconverged_solves_still_end_each_trial(self, monkeypatch):
         # with 3 iterations per solve, unconverged end residuals steer the search
@@ -456,7 +478,9 @@ class TestBesovStudy:
     def test_balance_rule_variant(self):
         from kyfanreg.rules import BesovBalanceParams, besov_balance_alpha
 
-        res = run_study(self.config({"kind": "besov-balance", "constant": 1.0}))
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) \['constant'\]"):
+            self.config({"kind": "besov-balance", "constant": 1.0})  # the rate constant is 1
+        res = run_study(self.config({"kind": "besov-balance"}))
         s = res.summaries[0]
         params = BesovBalanceParams(
             eta=1e-3, m=64, n=64, p=1.0, rho=1.0, zeta=1.5, beta=1.0
@@ -475,7 +499,7 @@ class TestBesovStudy:
             "caps": {"norm": 100.0, "sup": 100.0},
             "operator": {"kind": "haar-diagonal", "levels": 8, "decay": 1.0},
             "truth": {"kind": "level-spikes", "norm": 1.0},
-            "rule": {"kind": "besov-balance", "constant": 1.0},
+            "rule": {"kind": "besov-balance"},
             "solver": {"s": 1.0, "p": 1.0, "d": 1},
         })
         res = run_study(cfg)
@@ -519,8 +543,8 @@ class TestNuRandomStudy:
         # eta = 1e-1 stops trials at k = 0, kmax = 2 stops the trials at
         # eta = 1e-3 short of the threshold, and the caps truncate
         cfg = parse_config(dict(STUDY_CONFIGS["nu-random"], eta_grid=[1e-1, 1e-2, 1e-3],
-                                caps={"norm": 0.4, "sup": 0.4}, operator=operator,
-                                solver={"kmax": kmax}))
+                                caps={"norm": 0.4, "sup": 0.4}, operator=operator))
+        monkeypatch.setattr(harness, "_KMAX", kmax)
         together = run_study(cfg)
         monkeypatch.setattr(harness, "_BLOCK_DOUBLES", 1)  # one trial per block
         alone = run_study(cfg)
@@ -679,6 +703,9 @@ class TestConfigValidation:
         ("autoconv", "truth", {"kind": "source-powerlaw", "exponent": 0.5, "power": -0.5,
                                "norm": 1.0},
          "config.truth: kind 'source-powerlaw' is not usable in the autoconv study"),
+        # the rules work with sigma^2, which must be a finite double
+        ("filter", "operator", {"kind": "diagonal", "singular_values": [1e155, 1.0]},
+         "config.operator: singular values must have a finite square"),
     ])
     def test_study_mismatch_fails_at_parse(self, study, key, value, match):
         raw = dict(STUDY_CONFIGS[study], **{key: value})
@@ -698,6 +725,7 @@ class TestConfigValidation:
         ("autoconv", "max_alpha_steps", 40),
         ("autoconv", "step_safety", 0.9),
         ("nu-random", "gamma", 0.5),
+        ("nu-random", "kmax", 10**7),
     ])
     def test_removed_solver_keys_rejected(self, study, key, value):
         # the studies fix these settings, so a config may not set them even to those values
@@ -705,7 +733,6 @@ class TestConfigValidation:
             parse_config(dict(STUDY_CONFIGS[study], solver={key: value}))
 
     @pytest.mark.parametrize("study, key", [
-        ("nu-random", "kmax"),
         ("besov", "d"),
     ])
     def test_integer_solver_keys_at_least_one(self, study, key):
@@ -728,7 +755,7 @@ class TestConfigValidation:
         assert parse_config(STUDY_CONFIGS["autoconv"]).solver == {}
         assert parse_config(STUDY_CONFIGS["filter"]).solver == {"filter": "tikhonov"}
         assert parse_config(STUDY_CONFIGS["besov"]).solver == {"s": 1.0, "p": 1.5, "d": 1}
-        assert parse_config(STUDY_CONFIGS["nu-random"]).solver == {"kmax": 10**7}
+        assert parse_config(STUDY_CONFIGS["nu-random"]).solver == {}
 
     def test_rejects_deflating_tau(self):
         with pytest.raises(ConfigError):
@@ -797,7 +824,7 @@ STUDY_CONFIGS = {
         "caps": {"norm": 100.0, "sup": 100.0},
         "operator": {"kind": "haar-diagonal", "levels": 6, "decay": 1.0},
         "truth": {"kind": "level-spikes", "norm": 1.0},
-        "rule": {"kind": "besov-balance", "constant": 1.0},
+        "rule": {"kind": "besov-balance"},
         "solver": {"s": 1.0, "p": 1.5, "d": 1},
     },
     "nu-random": {

@@ -170,7 +170,36 @@ class TestTailProb:
             tail_prob_tau(0.0, 4)
 
 
+def _interval_scan_kyfan(d):
+    """The Ky Fan estimate by a scan of the intervals between distinct values.
+
+    On [v_j, v_(j+1)) the tail frequency #(d > eps)/n is a constant step;
+    the first interval whose step lies below its right end holds the
+    infimum, at max(v_j, step).
+    """
+    n = d.size
+    vals, counts = np.unique(d, return_counts=True)
+    exceed = (n - np.cumsum(counts)) / n
+    if vals[0] > 0.0:
+        left = np.concatenate(([0.0], vals))
+        step = np.concatenate(([1.0], exceed))
+        right = np.concatenate((vals, [np.inf]))
+    else:
+        left, step, right = vals, exceed, np.concatenate((vals[1:], [np.inf]))
+    j = int(np.argmax(step < right))
+    return float(max(left[j], step[j]))
+
+
 class TestEmpiricalKyFan:
+    # ties on a coarse grid, zeros, the smallest normal scale and values above 1
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 1e-300, 0.05, 0.1, 0.25, 0.5, 1.0, 1.5]),
+                              st.floats(min_value=0.0, max_value=3.0)),
+                    min_size=1, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_interval_scan(self, values):
+        d = np.array(values)
+        assert empirical_kyfan(EmpiricalSample.from_values(d)) == _interval_scan_kyfan(d)
+
     def test_all_zero(self):
         assert empirical_kyfan(EmpiricalSample.from_values([0.0, 0.0, 0.0])) == 0.0
 

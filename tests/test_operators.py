@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -58,6 +61,14 @@ class TestSvdOperator:
             SvdOperator([0.5, 1.0])  # increasing
         with pytest.raises(ValueError):
             SvdOperator([1.0, -0.1])
+
+    def test_square_must_be_finite(self):
+        # sqrt of the largest double is the largest singular value accepted
+        largest = math.sqrt(sys.float_info.max)
+        assert SvdOperator([largest]).singular_values[0] == largest
+        for s1 in (1e155, math.nextafter(largest, math.inf)):
+            with pytest.raises(ValueError, match="finite square"):
+                SvdOperator([s1, 1.0])
 
 
 class TestAutoconvolution:

@@ -1,10 +1,12 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kyfanreg import rules
 from kyfanreg.harness import fit_rate
 from kyfanreg.operators import SvdOperator
 from kyfanreg.regularization import Tikhonov, filter_reconstruct
@@ -80,9 +82,8 @@ def _reference_alpha(s, y, lo_target, hi_target):
     """The discrepancy rule on one data vector, one residual at a time.
 
     This is the scalar log-bisection that ``discrepancy_alpha`` runs on
-    every row of a block at once.  It returns alpha, the residual
-    evaluations as the rule counts them, and the outcome: "trivial",
-    "infeasible" or "in-band".
+    every row of a block at once.  It returns alpha, the number of residual
+    evaluations, and the outcome: "trivial", "infeasible" or "in-band".
     """
     def residual(alpha):
         factor = alpha / (s * s + alpha)
@@ -93,18 +94,18 @@ def _reference_alpha(s, y, lo_target, hi_target):
     if float(np.linalg.norm(y[s == 0.0])) > hi_target:
         return math.inf, 0, "infeasible"
     scale = max(float(s[0]) ** 2, 1e-30)
-    hi, evals = scale, 1
-    while residual(hi) < lo_target:
+    alpha_max = sys.float_info.max - float(np.max(s * s))  # s^2 + alpha stays finite
+    hi, evals = min(scale, alpha_max), 1
+    while residual(hi) < lo_target and hi <= alpha_max / 10.0:
         hi *= 10.0
         evals += 1
-        if hi > 1e300:
-            break
     lo = min(hi, scale * 1e-12)
+    evals += 1
     while residual(lo) > hi_target:
         lo /= 10.0
-        evals += 1
         if lo < 1e-300:
             return math.inf, evals, "infeasible"
+        evals += 1
     for _ in range(500):
         alpha = math.sqrt(lo) * math.sqrt(hi)
         res = residual(alpha)
@@ -208,20 +209,55 @@ class TestDiscrepancyAlpha:
         result = discrepancy_alpha(SvdOperator([1e100]), [[1.0]], delta, rule)
         assert not result.infeasible[0] and not result.trivial[0]
         assert result.alpha[0] == pytest.approx(3.6517e201, rel=1e-4)
-        assert result.report.row_iterations[0] == 8
+        assert result.report.row_iterations[0] == 9
+        assert rule.tau1 * delta <= result.report.final_residual[0] <= rule.tau2 * delta
+
+    def test_band_alpha_near_the_largest_double_is_reached(self):
+        # at sigma_1 = 1e150 the band needs alpha near 3.65e301: the upward
+        # sweep's cap is tied to sigma_1^2, not to a fixed 1e300
+        rule = Discrepancy(1.1, 1.1 * 0.99 / 0.95)
+        delta = 0.95 / 1.1
+        result = discrepancy_alpha(SvdOperator([1e150]), [[1.0]], delta, rule)
+        assert not result.infeasible[0] and not result.trivial[0]
+        assert result.alpha[0] == pytest.approx(3.6517e301, rel=1e-4)
         assert rule.tau1 * delta <= result.report.final_residual[0] <= rule.tau2 * delta
 
     def test_band_past_the_sweep_cap_is_infeasible(self):
-        # at sigma_1 = 1e150 the band needs alpha near 1.9e301, but the upward
-        # sweep stops at 1e301, where the residual is 1/1.1 < 0.95: the
-        # bisection closes onto the cap below the band, and only the collapse
-        # check ends the row
+        # at sigma_1 = 5e153 the band needs alpha near 9.1e308, past the
+        # largest double, and the sweep stops at its first alpha, sigma_1^2,
+        # where the residual is 1/2 < 0.95: the bisection closes onto it
+        # below the band, and only the collapse check ends the row
         rule = Discrepancy(1.1, 1.1 * 0.99 / 0.95)
-        result = discrepancy_alpha(SvdOperator([1e150]), [[1.0]], 0.95 / 1.1, rule)
+        result = discrepancy_alpha(SvdOperator([5e153]), [[1.0]], 0.95 / 1.1, rule)
         assert result.infeasible.tolist() == [True] and not result.trivial[0]
         assert math.isinf(result.alpha[0])
         assert result.report.row_iterations[0] == 54
         assert np.array_equal(result.report.solution, [[0.0]])
+
+    def test_evaluations_are_counted_once_each(self, monkeypatch):
+        # report.iterations is the number of rows the residual was evaluated
+        # on, and on a one-row call row_iterations is that same number
+        evaluated = []
+        residual_norm = rules._tikhonov_residual_norm
+
+        def counting(s2, y, alpha):
+            evaluated.append(len(y))
+            return residual_norm(s2, y, alpha)
+
+        monkeypatch.setattr(rules, "_tikhonov_residual_norm", counting)
+        op = SvdOperator(np.arange(1, 201, dtype=float) ** -1.0)
+        y = op.singular_values * np.arange(1, 201, dtype=float) ** -0.5
+        y = y + 1e-2 * np.random.default_rng(4).standard_normal((50, 200))
+        result = discrepancy_alpha(op, y, 0.2, Discrepancy(1.1, 1.3))
+        assert not np.any(result.trivial | result.infeasible)
+        assert result.report.iterations == sum(evaluated)
+        # one row at a time, a row that reaches the sweep's cap included
+        cases = [(op, y[:1], 0.2), (SvdOperator([5e153]), [[1.0]], 0.95 / 1.1),
+                 (SvdOperator([1.0, 0.0]), [[1.0, 0.05]], 0.1)]
+        for one_op, one_y, delta in cases:
+            evaluated.clear()
+            result = discrepancy_alpha(one_op, one_y, delta, Discrepancy(1.1, 1.1 * 0.99 / 0.95))
+            assert result.report.row_iterations.tolist() == [sum(evaluated)]
 
     def test_residual_monotone_in_alpha(self):
         for _ in range(5):
@@ -238,7 +274,8 @@ class TestDiscrepancyAlpha:
     # a trivial row beside a solved one; a zero singular value under an
     # infeasible floor; a zero-width band; an alpha near 3.7e201 and one
     # near 1.8e-300, whose bisection brackets multiply past the largest
-    # double and below the smallest
+    # double and below the smallest; a band alpha near 3.7e301 and one
+    # past the largest double
     @example((SvdOperator([1.0, 0.5]), np.array([[1e-3, 0.0], [1.0, -0.5]]), 0.1,
               Discrepancy(1.1, 1.3)))
     @example((SvdOperator([1.0, 0.0]), np.array([[0.1, 1.0], [1.0, 0.05]]), 0.1,
@@ -248,6 +285,10 @@ class TestDiscrepancyAlpha:
     @example((SvdOperator([1e100]), np.array([[1.0]]), 0.95 / 1.1,
               Discrepancy(1.1, 1.1 * 0.99 / 0.95)))
     @example((SvdOperator([1e-15, 1e-150]), np.array([[0.0, 1.0]]), 0.5, Discrepancy(1.1, 1.3)))
+    @example((SvdOperator([1e150]), np.array([[1.0]]), 0.95 / 1.1,
+              Discrepancy(1.1, 1.1 * 0.99 / 0.95)))
+    @example((SvdOperator([5e153, 0.0]), np.array([[1.0, 0.1]]), 0.95 / 1.1,
+              Discrepancy(1.1, 1.1 * 0.99 / 0.95)))
     @given(_discrepancy_blocks())
     @settings(max_examples=200, deadline=None)
     def test_rows_match_the_scalar_reference(self, case):
