@@ -1,0 +1,55 @@
+"""Print one SHA-256 per record set of ``run_study``, to check that records are kept.
+
+    python3 scripts/record_digest.py
+
+Run it in two checkouts and compare the outputs: equal lines mean equal
+records. Each digest is taken over the ``repr`` of a study's summaries and
+trials, so it sees every value and its Python type. The record sets are the
+seven ``perfbench/configs/*.yaml`` at seeds 7 and 11, and the four
+``STUDY_CONFIGS`` of ``tests/test_harness.py``. The script only reads files
+and writes to standard output.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import kyfanreg as kf  # noqa: E402
+
+SEEDS = (7, 11)
+
+
+def _study_configs() -> dict:
+    spec = importlib.util.spec_from_file_location("test_harness", ROOT / "tests" / "test_harness.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.STUDY_CONFIGS
+
+
+def record_sets():
+    """Yield (name, parsed config) for every record set, in a fixed order."""
+    for path in sorted((ROOT / "perfbench" / "configs").glob("*.yaml")):
+        cfg = kf.load_config(path)
+        for seed in SEEDS:
+            yield f"{path.stem} seed {seed}", dataclasses.replace(cfg, seed=seed)
+    for study, raw in _study_configs().items():
+        yield f"STUDY_CONFIGS[{study}]", kf.parse_config(raw)
+
+
+def main() -> int:
+    for name, cfg in record_sets():
+        result = kf.run_study(cfg)
+        text = repr((result.summaries, result.trials))
+        print(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -388,6 +388,13 @@ def parse_config(raw: dict) -> ExperimentConfig:
         # every integer solver key counts iterations, steps or dimensions
         if kind is int and solver[key] < 1:
             raise ConfigError(f"config.solver.{key}: must be at least 1, got {solver[key]!r}")
+    # the nu-random study's Landweber step 0.9 / sigma_1^2 must be a finite double
+    sigma_1 = float(op.singular_values[0])
+    if top["study"] == "nu-random" and not (sigma_1**2 > 0.0 and math.isfinite(0.9 / sigma_1**2)):
+        raise ConfigError(
+            "config.operator: the nu-random study's Landweber step 0.9 / sigma_1^2 is not "
+            f"a finite number for sigma_1 = {sigma_1!r}"
+        )
     if solver.get("filter") == "tsvd" and top["rule"]["kind"] == "discrepancy":
         raise ConfigError(
             "config.solver.filter: tsvd cannot be used with the discrepancy rule, "

@@ -8,11 +8,13 @@ truncated solutions, the empirical Ky Fan error of the raw errors, and the
 mean chosen parameter.
 
 One driver, ``run_study``, owns the only loop over the eta grid: noise
-level, blocks of trials, summary.  A study supplies only what differs: its
-setup, its once-per-eta work and a block solve.  Every study solves the
-trials of an eta together, as (B, n) blocks of at most _BLOCK_DOUBLES
-doubles, and ``_trial_results`` records a block's trials.  The parsed
-config is known to suit the study.
+level, blocks of trials, errors, summary and records.  A study supplies
+only what differs: its setup, its once-per-eta work and a block solve.
+Every study solves the trials of an eta together, as (B, n) blocks of at
+most _BLOCK_DOUBLES doubles, and its ``solve_block`` returns the block's
+arrays: alpha, solutions, truth, residual, flags and delta^2 / alpha.  The
+driver builds every ``TrialResult`` and ``EtaSummary`` from them.  The
+parsed config is known to suit the study.
 
 Determinism: every trial draws from a generator keyed by
 (seed, eta_index << 32 | trial), blocks are fixed by the grid size and the
@@ -99,8 +101,8 @@ class TrialResult:
     error_truncated: float  # same after the truncation cap
     residual: float
     truncated: bool
-    flagged: bool = False
-    ratio_delta2_alpha: float | None = None
+    flagged: bool
+    ratio_delta2_alpha: float | None
 
 
 @dataclass(frozen=True)
@@ -160,75 +162,50 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
 
     The study's setup returns the data dimension m, which fixes the trials
     per block, and ``at_eta(eta, delta_eff) -> (solve_block, rate_theory)``,
-    which does the once-per-eta work.  ``solve_block(trials, rngs)`` draws
-    each trial's data from its generator and returns the trials' records.
+    which does the once-per-eta work.  ``solve_block(rngs)`` draws each
+    trial's data from its generator and returns ``(alpha, x, truth,
+    residual, flagged, ratio)``: ``x`` holds one solution per row, ``truth``
+    is one vector or one row per trial, and each other value is one per
+    trial or one for the block, with ``ratio`` None where the study has no
+    delta^2 / alpha.  The errors are taken here, against ``truth``, before
+    and after the truncation caps, and each eta's columns give its summary
+    and then its records.
     """
     m, at_eta = _STUDIES[cfg.study](cfg)
     block_rows = max(1, _BLOCK_DOUBLES // m)
-    summaries, all_trials = [], []
+    summaries, trials = [], []
     for eta_idx, eta in enumerate(cfg.eta_grid):
         dlt = delta_eff(NoiseSpec(eta=eta, m=m), cfg.noise_mode)
         solve_block, rate_theory = at_eta(eta, dlt)
-        trials = []
+        blocks = []
         for start in range(0, cfg.trials_per_eta, block_rows):
-            block = range(start, min(start + block_rows, cfg.trials_per_eta))
-            rngs = [trial_rng(cfg.seed, (eta_idx << 32) | t) for t in block]
-            trials.extend(solve_block(block, rngs))
-        summaries.append(_summarize(eta, dlt, trials, rate_theory))
-        all_trials.extend(trials)
-    return StudyResult(study=cfg.study, summaries=tuple(summaries), trials=tuple(all_trials))
-
-
-def _trial_results(cfg, eta, block, dlt, alphas, xs, truth, residuals, flagged=False,
-                   ratios=None) -> list:
-    """The records of a block of trials, one per row of the (B, n) solutions ``xs``.
-
-    ``alphas``, ``residuals``, ``flagged`` and ``ratios`` hold one value per
-    trial, or one for the whole block; ``truth`` is one vector or one row
-    per trial.  Errors are taken against ``truth``, before and after the
-    truncation caps.
-    """
-    rows = len(block)
-    x_trunc = truncate_solution(xs, cfg.caps.norm, cfg.caps.sup)
-    columns = zip(
-        block,
-        np.broadcast_to(alphas, rows).tolist(),
-        _row_norms(xs - truth).tolist(),
-        _row_norms(x_trunc - truth).tolist(),
-        np.broadcast_to(residuals, rows).tolist(),
-        np.any(x_trunc != xs, axis=1).tolist(),
-        np.broadcast_to(flagged, rows).tolist(),
-        [None] * rows if ratios is None else np.broadcast_to(ratios, rows).tolist(),
-    )
-    return [
-        TrialResult(eta=eta, trial=t, delta_eff=dlt, alpha_or_kstar=alpha, error=error,
-                    error_truncated=error_trunc, residual=residual, truncated=truncated,
-                    flagged=flag, ratio_delta2_alpha=ratio)
-        for t, alpha, error, error_trunc, residual, truncated, flag, ratio in columns
-    ]
-
-
-def _summarize(eta: float, dlt: float, trials: list, rate_theory) -> EtaSummary:
-    errs = np.array([t.error for t in trials])
-    errs_trunc = np.array([t.error_truncated for t in trials])
-    residuals = np.array([t.residual for t in trials])
-    alphas = np.array([t.alpha_or_kstar for t in trials])
-    ratios = [t.ratio_delta2_alpha for t in trials]
-    finite = np.isfinite(alphas)
-    alpha_mean = float(np.mean(alphas[finite])) if finite.any() else math.inf
-    return EtaSummary(
-        eta=eta,
-        delta_eff=dlt,
-        alpha_or_kstar=alpha_mean,
-        err_mean=float(np.mean(errs_trunc)),
-        err_kyfan=empirical_kyfan(EmpiricalSample.from_values(errs)),
-        residual_mean=float(np.mean(residuals)),
-        trials=len(trials),
-        truncated_count=int(sum(t.truncated for t in trials)),
-        flagged_count=int(sum(t.flagged for t in trials)),
-        ratio_delta2_alpha=None if None in ratios else float(np.mean(ratios)),
-        rate_theory=rate_theory,
-    )
+            rngs = [trial_rng(cfg.seed, (eta_idx << 32) | t)
+                    for t in range(start, min(start + block_rows, cfg.trials_per_eta))]
+            alpha, x, truth, residual, flagged, ratio = solve_block(rngs)
+            x_trunc = truncate_solution(x, cfg.caps.norm, cfg.caps.sup)
+            # a ratio of None broadcasts to a column of None (an object array)
+            block = (alpha, _row_norms(x - truth), _row_norms(x_trunc - truth), residual,
+                     np.any(x_trunc != x, axis=1), flagged, ratio)
+            blocks.append([np.broadcast_to(v, len(rngs)) for v in block])
+        columns = [np.concatenate(column) for column in zip(*blocks)]
+        alpha, err, err_trunc, residual, truncated, flagged, ratio = columns
+        finite = np.isfinite(alpha)
+        summaries.append(EtaSummary(
+            eta=eta,
+            delta_eff=dlt,
+            alpha_or_kstar=float(np.mean(alpha[finite])) if finite.any() else math.inf,
+            err_mean=float(np.mean(err_trunc)),
+            err_kyfan=empirical_kyfan(EmpiricalSample.from_values(err)),
+            residual_mean=float(np.mean(residual)),
+            trials=err.size,
+            truncated_count=int(np.count_nonzero(truncated)),
+            flagged_count=int(np.count_nonzero(flagged)),
+            ratio_delta2_alpha=None if ratio[0] is None else float(np.mean(ratio)),
+            rate_theory=rate_theory,
+        ))
+        rows = zip(*(column.tolist() for column in columns))
+        trials.extend(TrialResult(eta, t, dlt, *row) for t, row in enumerate(rows))
+    return StudyResult(study=cfg.study, summaries=tuple(summaries), trials=tuple(trials))
 
 
 # Trials solved together by every study: enough rows to spread numpy's
@@ -257,17 +234,16 @@ def _filter_study(cfg: ExperimentConfig):
         elif isinstance(rule, Fixed):
             alpha = rule.alpha
 
-        def solve_block(block, rngs):
+        def solve_block(rngs):
             y_noisy = y_exact + eta * np.stack([rng.standard_normal(n) for rng in rngs])
             if alpha is None:
                 disc = discrepancy_alpha(op, y_noisy, dlt, rule)
                 # an infeasible row has inconsistent data and noise level:
                 # it reports the zero solution, flagged
-                return _trial_results(cfg, eta, block, dlt, disc.alpha, disc.report.solution,
-                                      x_true, disc.report.final_residual, disc.infeasible)
+                return (disc.alpha, disc.report.solution, x_true, disc.report.final_residual,
+                        disc.infeasible, None)
             x = filter_reconstruct(op, y_noisy, make_kind(alpha))
-            return _trial_results(cfg, eta, block, dlt, alpha, x, x_true,
-                                  _row_norms(op.singular_values * x - y_noisy))
+            return alpha, x, x_true, _row_norms(op.singular_values * x - y_noisy), False, None
 
         return solve_block, None
 
@@ -407,14 +383,13 @@ def _autoconv_study(cfg: ExperimentConfig):
     def at_eta(eta, dlt):
         lo_target, hi_target = cfg.rule.tau1 * dlt, cfg.rule.tau2 * dlt
 
-        def solve_block(block, rngs):
+        def solve_block(rngs):
             y_noisy = np.stack([y_exact + eta * rng.standard_normal(m) for rng in rngs])
             alpha, coeffs, residual, flagged = _alpha_continuation(
                 grid, haar, y_noisy, lo_target, hi_target,
             )
             # a trivial trial's ratio delta^2 / inf is 0
-            return _trial_results(cfg, eta, block, dlt, alpha, coeffs @ haar, x_true, residual,
-                                  flagged, ratios=dlt**2 / alpha)
+            return alpha, coeffs @ haar, x_true, residual, flagged, dlt**2 / alpha
 
         return solve_block, None
 
@@ -461,15 +436,14 @@ def _besov_study(cfg: ExperimentConfig):
             except NoBracket:
                 alpha, balance_failed = math.inf, True
 
-        def solve_block(block, rngs):
+        def solve_block(rngs):
             y_noisy = np.stack([y_exact + eta * rng.standard_normal(n) for rng in rngs])
             if math.isinf(alpha):
                 c = np.zeros_like(y_noisy)
             else:
                 # diagonal operator: the weighted-lp minimizer separates per coefficient
                 c = prox_weighted_lp(y_noisy / sigma, alpha * bw.weights / (2.0 * sigma**2), p)
-            return _trial_results(cfg, eta, block, dlt, alpha, c, c_true,
-                                  _row_norms(sigma * c - y_noisy), balance_failed)
+            return alpha, c, c_true, _row_norms(sigma * c - y_noisy), balance_failed, None
 
         return solve_block, None
 
@@ -529,7 +503,7 @@ def _nu_random_study(cfg: ExperimentConfig):
     q2 = q * q
 
     def at_eta(eta, dlt):
-        def solve_block(block, rngs):
+        def solve_block(rngs):
             # each trial draws its exponent before its noise: the draw order fixes the data
             two_nu = 2.0 * np.array([rng.uniform(0.0, 0.5) for rng in rngs])
             noise = np.stack([rng.standard_normal(m) for rng in rngs])
@@ -538,8 +512,8 @@ def _nu_random_study(cfg: ExperimentConfig):
             k_star, reached = _landweber_stop_index(
                 q2, y_noisy * y_noisy, cfg.rule.tau_hat * dlt, _KMAX)
             x = filter_reconstruct(op, y_noisy, LandweberFilter(k_star, gamma))
-            return _trial_results(cfg, eta, block, dlt, k_star.astype(float), x, x_true,
-                                  _row_norms(sigma * x - y_noisy), ~reached)
+            return (k_star.astype(float), x, x_true, _row_norms(sigma * x - y_noisy), ~reached,
+                    None)
 
         # the lifted rate W(-log delta) / (-log delta) is twice the W approximation of nu
         rate_theory = 2.0 * nu_effective(dlt).nu_approx if 0.0 < dlt < 1.0 else None

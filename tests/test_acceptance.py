@@ -12,10 +12,15 @@ import numpy as np
 
 from kyfanreg import (
     BesovBalanceParams,
+    ConstantTau,
     EmpiricalSample,
+    InflatedExpectation,
+    KyFanBound,
+    LogInflatingTau,
     NoiseSpec,
     besov_balance_alpha,
     combined_model,
+    delta_eff,
     empirical_kyfan,
     expected_norm,
     fit_rate,
@@ -386,3 +391,49 @@ def test_criterion_10_lifting_mechanism_trial_by_trial(capsys):
            f"bad event: tightest margin {margin:.1f} trials ({bad} of at most {allowed:.1f} "
            f"at n = {n}, eta = {eta:g})",
            elapsed, 30.0)
+
+
+def test_criterion_11_which_noise_levels_are_kyfan_levels(capsys):
+    # The premise of lifting: delta_eff is a Ky Fan level, P(||eps|| > delta)
+    # <= delta.  For each mode, m and eta, count how many of N draws of ||eps||
+    # exceed delta and compare with N (delta' + 3 sqrt(delta' (1 - delta') / N)),
+    # delta' = min(delta, 1).  The chi-square tail P = Q(m/2, delta^2 / (2 eta^2))
+    # predicts each cell: it must hold where NP + 3 sd is at or below that
+    # threshold, and fail where NP - 3 sd is above it.  Cells in between are
+    # only reported.
+    start = time.perf_counter()
+    trials = 2000
+    modes = {
+        "kyfan-bound": KyFanBound(),
+        "constant tau 1.3": InflatedExpectation(tau=ConstantTau(1.3)),
+        "log tau": InflatedExpectation(tau=LogInflatingTau()),
+    }
+    etas = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+    held, failed, between, wrong = 0, 0, [], []
+    for cell, (m, eta) in enumerate((m, eta) for m in (4, 16, 128) for eta in etas):
+        spec = NoiseSpec(eta=eta, m=m)
+        norms = np.linalg.norm(sample_noise(spec, seed=1100 + cell, trials=trials), axis=1)
+        for name, mode in modes.items():
+            delta = delta_eff(spec, mode)
+            capped = min(delta, 1.0)
+            allowed = trials * (capped + 3.0 * math.sqrt(capped * (1.0 - capped) / trials))
+            bad = int(np.sum(norms > delta))
+            expected = trials * reg_gamma_q(m / 2.0, delta**2 / (2.0 * eta**2))
+            spread = 3.0 * math.sqrt(expected * (1.0 - expected / trials))
+            where = f"{name}, m = {m}, eta = {eta:g}: {bad} of at most {allowed:.1f}"
+            if expected + spread <= allowed:
+                held += 1
+                if bad > allowed:
+                    wrong.append(f"{where} (predicted to hold)")
+            elif expected - spread > allowed:
+                failed += 1
+                if bad <= allowed:
+                    wrong.append(f"{where} (predicted to fail)")
+            else:
+                between.append(f"{where} (predicted {expected:.1f})")
+    elapsed = time.perf_counter() - start
+    report(capsys, 11, not wrong and held > 0 and failed > 0,
+           f"{held} cells hold and {failed} fail as the chi-square tail predicts; "
+           f"mispredicted: {'; '.join(wrong) or 'none'}; "
+           f"not asserted: {'; '.join(between) or 'none'}",
+           elapsed, 10.0)

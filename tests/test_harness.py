@@ -706,6 +706,11 @@ class TestConfigValidation:
         # the rules work with sigma^2, which must be a finite double
         ("filter", "operator", {"kind": "diagonal", "singular_values": [1e155, 1.0]},
          "config.operator: singular values must have a finite square"),
+        # nu-random's Landweber step 0.9 / sigma_1^2 must be a finite double
+        ("nu-random", "operator", {"kind": "diagonal", "singular_values": [0.0, 0.0]},
+         "config.operator: the nu-random study's Landweber step .* sigma_1 = 0.0"),
+        ("nu-random", "operator", {"kind": "diagonal", "singular_values": [1e-160, 1e-161]},
+         "config.operator: the nu-random study's Landweber step .* sigma_1 = 1e-160"),
     ])
     def test_study_mismatch_fails_at_parse(self, study, key, value, match):
         raw = dict(STUDY_CONFIGS[study], **{key: value})
@@ -881,3 +886,7 @@ def test_pinned_summaries(study):
                 assert value == pytest.approx(want, rel=1e-12)
             else:  # counts and absent fields compare exactly
                 assert value == want
+    # plain Python scalars only: the benchmark's tracer json-dumps sums of them
+    for record in (*res.summaries, *res.trials):
+        for name, value in vars(record).items():
+            assert type(value) in (float, int, bool, type(None)), (name, type(value))
