@@ -273,7 +273,7 @@ def _haar_matrix(m: int) -> np.ndarray:
     return np.column_stack([haar_forward(col) for col in np.eye(m)])
 
 
-def _autoconv_solve(grid, haar, y_noisy, coeff_init, alpha, step):
+def _autoconv_solve(grid, haar, y_noisy, coeff_init, alpha, step, tol):
     # prox_gradient_solve takes the adjoint at the block it last sent
     # forward, so the synthesis c @ haar and its spectrum are computed once
     # and reused
@@ -290,7 +290,7 @@ def _autoconv_solve(grid, haar, y_noisy, coeff_init, alpha, step):
 
     try:
         return prox_gradient_solve(
-            fwd, adj, y_noisy, alpha=alpha, step=step, x0=coeff_init, tol=_TOL,
+            fwd, adj, y_noisy, alpha=alpha, step=step, x0=coeff_init, tol=tol,
             max_iter=_MAX_ITER,
         )
     except NonConvergence as exc:
@@ -315,9 +315,12 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target):
     residual, and whether it is flagged: searched, and ended outside the
     band.  A row with ||y|| <= lo_target is trivial, by the test of
     ``discrepancy_alpha``: it keeps alpha = inf, zero coefficients and
-    residual ||y||, unflagged, and is never solved.
+    residual ||y||, unflagged, and is never solved.  A solve converges when
+    its step falls to _TOL_REL * lo_target: the band asks for the residual
+    to within a fraction of the noise level, at any noise level.
     """
     rows = len(y)
+    tol = _TOL_REL * lo_target
     residual = _row_norms(y)
     searching = np.flatnonzero(residual > lo_target)
     x0 = _constant_fit_init(grid, y[searching])
@@ -342,7 +345,7 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target):
         if not searching.size:
             break
         report = _autoconv_solve(
-            grid, haar, y[searching], coeffs[searching], alpha[searching], step[searching],
+            grid, haar, y[searching], coeffs[searching], alpha[searching], step[searching], tol,
         )
         coeffs[searching] = report.solution
         res = residual[searching] = report.final_residual
@@ -364,10 +367,11 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target):
     return last_alpha, coeffs, residual, flagged
 
 
-# The autoconv alpha search: a solve stops at step _TOL or after _MAX_ITER
-# iterations, a trial after _MAX_ALPHA_STEPS alphas (so at most 32,000
-# iterations); steps are _STEP_SAFETY / Lipschitz.
-_TOL = 1e-6
+# The autoconv alpha search: a solve stops at step _TOL_REL * tau1 * delta_eff
+# (the band's lower edge, since tau1 = tau2 is a band of width 0) or after
+# _MAX_ITER iterations, a trial after _MAX_ALPHA_STEPS alphas (so at most
+# 32,000 iterations); steps are _STEP_SAFETY / Lipschitz.
+_TOL_REL = 2e-3
 _MAX_ITER = 800
 _MAX_ALPHA_STEPS = 40
 _STEP_SAFETY = 0.9

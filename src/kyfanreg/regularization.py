@@ -14,6 +14,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -275,7 +276,9 @@ def prox_gradient_solve(
     z for the gradient and at x+ for the objective.
 
     ``alpha`` and ``step`` are scalars or one value per row; every row gets
-    the same ``max_iter`` iterations.
+    the same ``max_iter`` iterations.  ``tol`` must be finite and at least
+    0, and ``max_iter`` at least 0.  A (0, m) block returns an empty report:
+    no rows, 0 iterations, nothing unconverged.
     ``forward(x)`` and ``derivative_adjoint(x, r)`` must act row by row on
     any (k, m) block of the rows: a row leaves the block as soon as it
     stops.  ``derivative_adjoint`` is always called at the block that was
@@ -300,7 +303,11 @@ def prox_gradient_solve(
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     if not np.all(step > 0.0):
         raise ValueError(f"step must be positive, got {step!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     max_iter = operator.index(max_iter)
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be non-negative, got {max_iter}")
     if record_objective and rows != 1:
         raise ValueError("record_objective needs a one-row block")
     thresh = (step * alpha / 2.0)[:, np.newaxis]
@@ -333,8 +340,8 @@ def prox_gradient_solve(
             active, x, z, t, y = active[keep], x[keep], z[keep], t[keep], y[keep]
             res_norm, value, alpha = res_norm[keep], value[keep], alpha[keep]
             step, thresh = step[keep], thresh[keep]
-            if not active.size:
-                break
+        if not active.size:  # also a (0, m) block, whose ``done`` is empty
+            break
         k += 1
         v = np.multiply(step[:, np.newaxis], derivative_adjoint(z, forward(z) - y))
         np.subtract(z, v, out=v)

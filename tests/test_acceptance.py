@@ -437,3 +437,34 @@ def test_criterion_11_which_noise_levels_are_kyfan_levels(capsys):
            f"mispredicted: {'; '.join(wrong) or 'none'}; "
            f"not asserted: {'; '.join(between) or 'none'}",
            elapsed, 10.0)
+
+
+def test_criterion_12_lifted_rate_for_the_nonlinear_problem(capsys):
+    # Criterion 5's autoconvolution problem under the kyfan-bound level.  l1
+    # Tikhonov under the discrepancy principle converges at O(delta) given a
+    # source condition and restricted injectivity (Grasmair, Haltmeier and
+    # Scherzer 2008; Anzengruber and Ramlau 2010), and both hold here: F'(x)
+    # at the two-bump truth is invertible in Haar coefficients, and the truth
+    # has 6 nonzero ones.  Lifted, err_kyfan = O(delta_eff); the O(delta)
+    # regime starts near delta_eff ~ 5e-3, so the slope is fitted over the
+    # last four etas.
+    start = time.perf_counter()
+    res = run_study(parse_config({
+        "schema_version": 1,
+        "study": "autoconv",
+        "seed": 42,
+        "eta_grid": [1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6],
+        "trials_per_eta": 30,
+        "noise_level": {"mode": "kyfan-bound"},
+        "caps": {"norm": 1000.0, "sup": 1000.0},
+        "operator": {"kind": "autoconv", "size": 128},
+        "truth": {"kind": "two-bump", "amplitude": 0.31},
+        "rule": {"kind": "discrepancy", "tau1": 1.1, "tau2": 1.3},
+    }))
+    fit = fit_rate([(s.delta_eff, s.err_kyfan) for s in res.summaries[-4:]])
+    flagged = sum(s.flagged_count for s in res.summaries)
+    elapsed = time.perf_counter() - start
+    report(capsys, 12, abs(fit.slope - 1.0) <= 0.2 and flagged == 0,
+           f"err_kyfan {['%.3g' % s.err_kyfan for s in res.summaries]}: slope in delta_eff "
+           f"over the last four etas {fit.slope:.3f} (1 +/- 0.2); {flagged} flagged (need 0)",
+           elapsed, 60.0)

@@ -348,7 +348,8 @@ class TestAutoconvStudy:
         alpha = max(4.0 * float(np.max(np.abs(grad0))), 1e-12)
         alpha_hi = alpha_lo = math.nan
         for _ in range(harness._MAX_ALPHA_STEPS):
-            report = harness._autoconv_solve(grid, haar, y[np.newaxis], coeffs, alpha, step)
+            report = harness._autoconv_solve(grid, haar, y[np.newaxis], coeffs, alpha, step,
+                                             harness._TOL_REL * lo_target)
             coeffs, res, a = report.solution, float(report.final_residual[0]), alpha
             if res > hi_target:
                 alpha_hi = a
@@ -435,6 +436,24 @@ class TestAutoconvStudy:
             assert (a.eta, a.trial, a.flagged, a.truncated) == (b.eta, b.trial, b.flagged, b.truncated)
             for field in ("alpha_or_kstar", "error", "error_truncated", "residual"):
                 assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-9)
+
+    def test_small_noise_trials_end_in_band(self):
+        # the first six trials of criterion 5's problem under log-inflating
+        # tau at eta = 1e-6: a solve stop fixed at 1e-6 ended each solve with
+        # its residual near 1.5 delta_eff, so every trial stepped alpha down
+        # to about 1e-25 and ended flagged; a stop tied to the band reaches it
+        cfg = parse_config(dict(STUDY_CONFIGS["autoconv"], seed=42,
+                                operator={"kind": "autoconv", "size": 128}))
+        m, eta = 128, 1e-6
+        grid, haar = AutoconvGrid(m), harness._haar_matrix(m)
+        y_exact = autoconv_apply(grid, build_truth(cfg.truth, build_operator(cfg.operator)))
+        y = np.stack([y_exact + eta * trial_rng(cfg.seed, t).standard_normal(m) for t in range(6)])
+        dlt = delta_eff(NoiseSpec(eta=eta, m=m), cfg.noise_mode)
+        lo, hi = cfg.rule.tau1 * dlt, cfg.rule.tau2 * dlt
+        alpha, _, residual, flagged = harness._alpha_continuation(grid, haar, y, lo, hi)
+        assert not np.any(flagged)
+        assert np.all((lo <= residual) & (residual <= hi))
+        assert np.all(alpha > 1e-12)
 
 
 class TestConstantLipschitz:
@@ -853,10 +872,10 @@ PINNED_SUMMARIES = {
          0.13097719248422238, 0.02381940065819717, 30, 0, 0, None, None),
     ],
     "autoconv": [
-        (0.1, 0.5656854249492381, 0.18166764880760536, 1.7530079013864006,
-         0.8, 0.6871686757043242, 30, 0, 6, 2.4233106388152934, None),
-        (0.01, 0.05656854249492381, 0.023328161839512754, 0.36230409209006104,
-         0.36573032660997884, 0.06794476544209921, 30, 0, 0, 0.2804104400362551, None),
+        (0.1, 0.5656854249492381, 0.20015711571522948, 1.7531075411125525,
+         0.8, 0.6871755556942498, 30, 0, 6, 2.376952198010847, None),
+        (0.01, 0.05656854249492381, 0.023328161839512754, 0.3624153811057021,
+         0.36573156622247904, 0.067939373597524, 30, 0, 0, 0.2804104400362551, None),
     ],
     "besov": [
         (0.001, 0.011313708498984762, 9.677432019609e-05, 0.02156742011096665,

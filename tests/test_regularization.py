@@ -398,6 +398,43 @@ class TestBatchedSolves:
                 x0=np.zeros((2, 3)), tol=1e-9, max_iter=[10, 20],
             )
 
+    # a NaN or negative tol would run every row to max_iter unconverged
+    @pytest.mark.parametrize("tol, max_iter, what", [
+        (math.nan, 10, "tol"), (math.inf, 10, "tol"), (-1e-9, 10, "tol"), (1e-9, -1, "max_iter"),
+    ])
+    def test_tol_and_max_iter_are_checked(self, tol, max_iter, what):
+        with pytest.raises(ValueError, match=what):
+            prox_gradient_solve(
+                lambda x: x, lambda x, r: r, np.ones((2, 3)), alpha=0.1, step=1.0,
+                x0=np.zeros((2, 3)), tol=tol, max_iter=max_iter,
+            )
+
+    def test_zero_tol_and_zero_budget_are_allowed(self):
+        with pytest.raises(NonConvergence) as exc:
+            prox_gradient_solve(
+                lambda x: x, lambda x, r: r, np.ones((2, 3)), alpha=0.1, step=1.0,
+                x0=np.zeros((2, 3)), tol=0.0, max_iter=0,
+            )
+        assert exc.value.report.iterations == 0
+        assert np.array_equal(exc.value.report.solution, np.zeros((2, 3)))
+
+    def test_empty_block_returns_an_empty_report(self):
+        calls = []
+
+        def forward(x):
+            calls.append(x.shape)
+            assert len(calls) < 5, "the solve kept iterating on an empty block"
+            return x
+
+        report = prox_gradient_solve(
+            forward, lambda x, r: r, np.zeros((0, 4)), alpha=1.0, step=0.5,
+            x0=np.zeros((0, 4)), tol=1e-6, max_iter=10,
+        )
+        assert report.solution.shape == (0, 4)
+        assert report.final_residual.shape == (0,)
+        assert report.iterations == 0
+        assert report.row_iterations.size == 0 and report.converged.size == 0
+
 
 def _reference_solve(sigma, y, alpha, step, tol, max_iter, accelerate):
     """One diagonal problem by proximal gradient, written out for one vector.
