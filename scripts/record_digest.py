@@ -6,8 +6,10 @@ Run it in two checkouts and compare the outputs: equal lines mean equal
 records. Each digest is taken over the ``repr`` of a study's summaries and
 trials, so it sees every value and its Python type. The record sets are the
 seven ``perfbench/configs/*.yaml`` at seeds 7 and 11, and the four
-``STUDY_CONFIGS`` of ``tests/test_harness.py``. The script only reads files
-and writes to standard output.
+``STUDY_CONFIGS`` of ``tests/test_harness.py``. A last line digests the
+``besov_balance_alpha`` results on the eta grid of
+``perfbench/configs/linear-besov.yaml``, for the besov study's own problem.
+The script only reads files and writes to standard output.
 """
 
 from __future__ import annotations
@@ -43,11 +45,36 @@ def record_sets():
         yield f"STUDY_CONFIGS[{study}]", kf.parse_config(raw)
 
 
+def balance_params() -> list:
+    """One ``BesovBalanceParams`` per eta of linear-besov.yaml: m = n = 2^levels,
+    zeta = s - d(1/2 - 1/p)."""
+    cfg = kf.load_config(ROOT / "perfbench" / "configs" / "linear-besov.yaml")
+    s, p, d = cfg.solver["s"], cfg.solver["p"], cfg.solver["d"]
+    n = 2 ** cfg.operator["levels"]
+    return [
+        kf.BesovBalanceParams(eta=eta, m=n, n=n, p=p, rho=cfg.truth["norm"],
+                              zeta=s - d * (0.5 - 1.0 / p), beta=cfg.operator["decay"])
+        for eta in cfg.eta_grid
+    ]
+
+
+def _balance(params):
+    try:
+        return kf.besov_balance_alpha(params)
+    except kf.NoBracket as exc:
+        return ("NoBracket", str(exc), exc.scan)
+
+
+def _digest(text: str, name: str) -> None:
+    print(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}", flush=True)
+
+
 def main() -> int:
     for name, cfg in record_sets():
         result = kf.run_study(cfg)
-        text = repr((result.summaries, result.trials))
-        print(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}", flush=True)
+        _digest(repr((result.summaries, result.trials)), name)
+    _digest(repr([_balance(params) for params in balance_params()]),
+            "besov_balance_alpha linear-besov")
     return 0
 
 

@@ -19,9 +19,11 @@ parsed config is known to suit the study.
 Determinism: every trial draws from a generator keyed by
 (seed, eta_index << 32 | trial), blocks are fixed by the grid size and the
 trial order, and summaries are reduced in trial order, so outputs repeat
-exactly.  A filter, Besov or nu-random record does not depend on the block
-size at all: their rules, filters and norms act row by row.  An autoconv
-record agrees with solving its trial alone up to roundoff.
+exactly.  One generator is built per eta and re-keyed for each trial in
+turn, which gives the trial the draws of its own keyed generator.  A
+filter, Besov or nu-random record does not depend on the block size at
+all: their rules, filters and norms act row by row.  An autoconv record
+agrees with solving its trial alone up to roundoff.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .noise import (
     delta_eff,
     empirical_kyfan,
     EmpiricalSample,
+    rekey,
     trial_rng,
     truncate_solution,
 )
@@ -163,13 +166,15 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
     The study's setup returns the data dimension m, which fixes the trials
     per block, and ``at_eta(eta, delta_eff) -> (solve_block, rate_theory)``,
     which does the once-per-eta work.  ``solve_block(rngs)`` draws each
-    trial's data from its generator and returns ``(alpha, x, truth,
-    residual, flagged, ratio)``: ``x`` holds one solution per row, ``truth``
-    is one vector or one row per trial, and each other value is one per
-    trial or one for the block, with ``ratio`` None where the study has no
-    delta^2 / alpha.  The errors are taken here, against ``truth``, before
-    and after the truncation caps, and each eta's columns give its summary
-    and then its records.
+    trial's data from its generator, in one pass over the iterator
+    ``rngs``: each item is the eta's one generator, re-keyed for the next
+    trial, so a trial's draws must be made before the next item is taken.
+    It returns ``(alpha, x, truth, residual, flagged, ratio)``: ``x`` holds
+    one solution per row, ``truth`` is one vector or one row per trial, and
+    each other value is one per trial or one for the block, with ``ratio``
+    None where the study has no delta^2 / alpha.  The errors are taken
+    here, against ``truth``, before and after the truncation caps, and each
+    eta's columns give its summary and then its records.
     """
     m, at_eta = _STUDIES[cfg.study](cfg)
     block_rows = max(1, _BLOCK_DOUBLES // m)
@@ -177,16 +182,17 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
     for eta_idx, eta in enumerate(cfg.eta_grid):
         dlt = delta_eff(NoiseSpec(eta=eta, m=m), cfg.noise_mode)
         solve_block, rate_theory = at_eta(eta, dlt)
+        rng = trial_rng(cfg.seed, eta_idx << 32)
         blocks = []
         for start in range(0, cfg.trials_per_eta, block_rows):
-            rngs = [trial_rng(cfg.seed, (eta_idx << 32) | t)
-                    for t in range(start, min(start + block_rows, cfg.trials_per_eta))]
+            block_trials = range(start, min(start + block_rows, cfg.trials_per_eta))
+            rngs = (rekey(rng, cfg.seed, (eta_idx << 32) | t) for t in block_trials)
             alpha, x, truth, residual, flagged, ratio = solve_block(rngs)
             x_trunc = truncate_solution(x, cfg.caps.norm, cfg.caps.sup)
             # a ratio of None broadcasts to a column of None (an object array)
             block = (alpha, _row_norms(x - truth), _row_norms(x_trunc - truth), residual,
                      np.any(x_trunc != x, axis=1), flagged, ratio)
-            blocks.append([np.broadcast_to(v, len(rngs)) for v in block])
+            blocks.append([np.broadcast_to(v, len(block_trials)) for v in block])
         columns = [np.concatenate(column) for column in zip(*blocks)]
         alpha, err, err_trunc, residual, truncated, flagged, ratio = columns
         finite = np.isfinite(alpha)
@@ -509,10 +515,9 @@ def _nu_random_study(cfg: ExperimentConfig):
     def at_eta(eta, dlt):
         def solve_block(rngs):
             # each trial draws its exponent before its noise: the draw order fixes the data
-            two_nu = 2.0 * np.array([rng.uniform(0.0, 0.5) for rng in rngs])
-            noise = np.stack([rng.standard_normal(m) for rng in rngs])
-            x_true = _row_powers(sigma, two_nu) * v
-            y_noisy = sigma * x_true + eta * noise
+            nus, noise = zip(*[(rng.uniform(0.0, 0.5), rng.standard_normal(m)) for rng in rngs])
+            x_true = _row_powers(sigma, 2.0 * np.array(nus)) * v
+            y_noisy = sigma * x_true + eta * np.stack(noise)
             k_star, reached = _landweber_stop_index(
                 q2, y_noisy * y_noisy, cfg.rule.tau_hat * dlt, _KMAX)
             x = filter_reconstruct(op, y_noisy, LandweberFilter(k_star, gamma))

@@ -12,12 +12,16 @@ Reproducibility
 Every draw comes from a Philox generator keyed by (seed, index), built by
 ``trial_rng``.  ``sample_noise`` fills its (trials, m) array from the index-0
 generator in row order, so its first k rows are the same for any
-``trials >= k``.  Study loops key one generator per trial.
+``trials >= k``.  Study loops build one generator per eta and ``rekey`` it
+for each trial, which puts it in the state a new ``trial_rng(seed, index)``
+starts in: every trial's draws are those of its own keyed generator, without
+the cost of building one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +37,7 @@ __all__ = [
     "InflatedExpectation",
     "sample_noise",
     "trial_rng",
+    "rekey",
     "expected_norm",
     "expected_norm_upper",
     "kyfan_bound_gaussian",
@@ -107,13 +112,42 @@ class InflatedExpectation:
     tau: ConstantTau | LogInflatingTau
 
 
+def _key(seed: int, index: int) -> tuple[int, int]:
+    """(seed, index) as Python integers, each checked to lie in [0, 2**64)."""
+    key = []
+    for name, value in (("seed", seed), ("index", index)):
+        try:
+            k = operator.index(value)  # Python and numpy integers; a float is not truncated
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if not 0 <= k < 2**64:
+            raise ValueError(f"{name} must lie in [0, 2**64), got {value!r}")
+        key.append(k)
+    return tuple(key)
+
+
 def trial_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent generator keyed by (seed, index), each in [0, 2**64)."""
-    if not (0 <= seed < 2**64 and 0 <= index < 2**64):
-        raise ValueError(
-            f"seed and index must lie in [0, 2**64), got seed={seed!r}, index={index!r}"
-        )
-    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    """Independent generator keyed by (seed, index), integers in [0, 2**64)."""
+    return np.random.Generator(np.random.Philox(key=np.array(_key(seed, index), dtype=np.uint64)))
+
+
+def rekey(rng: np.random.Generator, seed: int, index: int) -> np.random.Generator:
+    """Put a ``trial_rng`` generator in the state ``trial_rng(seed, index)`` starts in.
+
+    Counter 0, key (seed, index), an empty buffer and no cached 32-bit
+    value: the draws that follow are bit for bit those of a new generator.
+    Building one costs more: numpy's Philox reads OS entropy for a seed
+    sequence even when it is given a key.  Returns ``rng``.
+    """
+    key = _key(seed, index)
+    if not isinstance(rng.bit_generator, np.random.Philox):
+        raise TypeError(f"rekey needs a Philox generator, got {type(rng.bit_generator).__name__}")
+    # buffer_pos 4 marks the 4-word buffer used up: the next draw refills it
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": key},
+        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 def sample_noise(spec: NoiseSpec, seed: int, trials: int) -> np.ndarray:

@@ -275,18 +275,26 @@ _SCAN_LOG10_RANGE = (-12.0, 12.0)
 _SCAN_POINTS = 481
 
 
-def _besov_sides(params: BesovBalanceParams, alpha_tilde: float) -> tuple[float, float]:
+def _besov_sides(params: BesovBalanceParams):
+    """``sides(alpha_tilde) -> (lhs, rhs)`` of the balancing equation at ``params``.
+
+    The terms that do not depend on alpha_tilde, Q(m/2, base) among them,
+    are computed here once for the whole scan and bisection.
+    """
     lm = min(_log_term(params.eta, params.m), 0.0)
     base = params.m - lm
     rho_p = params.rho**params.p
-    err = params.eta * (math.sqrt(base) + math.sqrt(base + alpha_tilde * rho_p / 2.0))
-    rho_tilde = params.rho + (rho_p + (2.0 * params.m - lm) / alpha_tilde) ** (1.0 / params.p)
     expo = params.zeta / (params.zeta + params.beta)
-    lhs = params.constant * err**expo * rho_tilde ** (1.0 - expo)
-    rhs = reg_gamma_q(params.m / 2.0, base) + reg_gamma_q(
-        params.n / params.p, alpha_tilde * rho_p / 2.0
-    )
-    return lhs, rhs
+    q_noise = reg_gamma_q(params.m / 2.0, base)
+
+    def sides(alpha_tilde: float) -> tuple[float, float]:
+        err = params.eta * (math.sqrt(base) + math.sqrt(base + alpha_tilde * rho_p / 2.0))
+        rho_tilde = params.rho + (rho_p + (2.0 * params.m - lm) / alpha_tilde) ** (1.0 / params.p)
+        lhs = params.constant * err**expo * rho_tilde ** (1.0 - expo)
+        rhs = q_noise + reg_gamma_q(params.n / params.p, alpha_tilde * rho_p / 2.0)
+        return lhs, rhs
+
+    return sides
 
 
 def besov_balance_alpha(params: BesovBalanceParams) -> BesovBalanceResult:
@@ -300,19 +308,20 @@ def besov_balance_alpha(params: BesovBalanceParams) -> BesovBalanceResult:
     :class:`NoBracket` with the scan table when no sign change exists or
     every root is vacuous.
     """
+    sides = _besov_sides(params)
     grid = np.linspace(*_SCAN_LOG10_RANGE, _SCAN_POINTS)
     diffs = []
     for t in grid:
-        lhs, rhs = _besov_sides(params, 10.0**t)
+        lhs, rhs = sides(10.0**t)
         diffs.append(lhs - rhs)
     diffs = np.asarray(diffs)
 
     roots = []
     for i in range(len(grid) - 1):
         if diffs[i] == 0.0:
-            roots.append(_bisect_balance(params, grid[i], grid[i], 0.0))
+            roots.append(_bisect_balance(sides, grid[i], grid[i], 0.0))
         elif diffs[i] * diffs[i + 1] < 0.0:
-            roots.append(_bisect_balance(params, grid[i], grid[i + 1], float(diffs[i])))
+            roots.append(_bisect_balance(sides, grid[i], grid[i + 1], float(diffs[i])))
     bounding = [r for r in roots if r.rhs < 1.0]
     if not bounding:
         what = "no sign change" if not roots else f"{len(roots)} root(s), all with RHS >= 1,"
@@ -323,11 +332,11 @@ def besov_balance_alpha(params: BesovBalanceParams) -> BesovBalanceResult:
     return min(bounding, key=lambda r: r.rhs)
 
 
-def _bisect_balance(params, lo: float, hi: float, f_lo: float) -> BesovBalanceResult:
+def _bisect_balance(sides, lo: float, hi: float, f_lo: float) -> BesovBalanceResult:
     # bisection in log10(alpha_tilde) on a bracket whose left end has LHS - RHS = f_lo
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        lhs, rhs = _besov_sides(params, 10.0**mid)
+        lhs, rhs = sides(10.0**mid)
         gap = lhs - rhs
         if abs(gap) <= 1e-8 * max(abs(lhs), abs(rhs)):
             return BesovBalanceResult(alpha_tilde=10.0**mid, lhs=lhs, rhs=rhs, gap=gap)
@@ -336,7 +345,7 @@ def _bisect_balance(params, lo: float, hi: float, f_lo: float) -> BesovBalanceRe
         else:
             hi = mid
     mid = 0.5 * (lo + hi)
-    lhs, rhs = _besov_sides(params, 10.0**mid)
+    lhs, rhs = sides(10.0**mid)
     return BesovBalanceResult(alpha_tilde=10.0**mid, lhs=lhs, rhs=rhs, gap=lhs - rhs)
 
 

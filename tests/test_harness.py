@@ -909,3 +909,14 @@ def test_pinned_summaries(study):
     for record in (*res.summaries, *res.trials):
         for name, value in vars(record).items():
             assert type(value) in (float, int, bool, type(None)), (name, type(value))
+
+
+@pytest.mark.parametrize("study", sorted(STUDY_CONFIGS))
+def test_rekeyed_generator_gives_each_trial_its_own_draws(monkeypatch, study):
+    # every trial re-keys the eta's one generator; a study that kept a
+    # generator past its trial's turn (say, a second pass over the block)
+    # would read another trial's state and change the records
+    cfg = parse_config(STUDY_CONFIGS[study])
+    shared = run_study(cfg)
+    monkeypatch.setattr(harness, "rekey", lambda rng, seed, index: trial_rng(seed, index))
+    assert run_study(cfg) == shared

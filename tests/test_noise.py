@@ -18,6 +18,7 @@ from kyfanreg.noise import (
     expected_norm,
     expected_norm_upper,
     kyfan_bound_gaussian,
+    rekey,
     sample_noise,
     tail_prob_tau,
     tau_schedule,
@@ -91,6 +92,62 @@ class TestSampler:
 
     def test_largest_seed_and_index_accepted(self):
         trial_rng(2**64 - 1, 2**64 - 1)
+
+    @pytest.mark.parametrize("bad", [1.5, 2.9, 7.0, np.float64(3.0), "7", None])
+    def test_rejects_non_integer_seed_and_index(self, bad):
+        # a float would otherwise truncate to another key without notice
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample_noise(NoiseSpec(eta=1.0, m=2), seed=bad, trials=10)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            trial_rng(bad, 0)
+        with pytest.raises(ValueError, match="index must be an integer"):
+            trial_rng(0, bad)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            rekey(trial_rng(0, 0), bad, 0)
+        with pytest.raises(ValueError, match="index must be an integer"):
+            rekey(trial_rng(0, 0), 0, bad)
+
+    def test_numpy_integers_are_keys(self):
+        a = trial_rng(np.uint64(2**64 - 1), np.int32(5)).standard_normal(3)
+        assert np.array_equal(a, trial_rng(2**64 - 1, 5).standard_normal(3))
+
+
+def _flat_state(rng):
+    # a Philox state as plain values: counter, key, buffer and scalars
+    state = rng.bit_generator.state
+    return (state["state"]["counter"].tolist(), state["state"]["key"].tolist(),
+            state["buffer"].tolist(), state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+class TestRekey:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        first=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+        key=st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+        normals=st.integers(0, 4).map(lambda k: 2 * k + 1),
+    )
+    def test_matches_a_new_generator_after_any_draws(self, first, key, normals):
+        rng = trial_rng(*first)
+        rng.standard_normal(normals)  # an odd count usually leaves the 4-word buffer part used
+        rng.uniform(0.0, 0.5)
+        rng.integers(0, 2**31, dtype=np.uint32)  # caches the other half of a word
+        assert rekey(rng, *key) is rng
+        fresh = trial_rng(*key)
+        assert _flat_state(rng) == _flat_state(fresh)
+        for draw in (lambda g: g.standard_normal(5), lambda g: g.uniform(size=3),
+                     lambda g: g.integers(0, 2**31, size=3, dtype=np.uint32),
+                     lambda g: g.standard_normal(3)):
+            assert np.array_equal(draw(rng), draw(fresh))
+
+    @pytest.mark.parametrize(("seed", "index"), [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+    def test_rejects_keys_out_of_range(self, seed, index):
+        with pytest.raises(ValueError, match="must lie in"):
+            rekey(trial_rng(0, 0), seed, index)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+    def test_rejects_other_bit_generators(self, bit_generator):
+        with pytest.raises(TypeError, match="Philox"):
+            rekey(np.random.Generator(bit_generator(0)), 1, 2)
 
 
 class TestExpectedNorm:

@@ -324,8 +324,8 @@ class TestBesovBalance:
     def test_scan_is_pointwise_consistent(self):
         from kyfanreg.rules import _besov_sides
 
-        lhs0, rhs0 = _besov_sides(self.params, 1e-6)
-        lhs1, rhs1 = _besov_sides(self.params, 1e6)
+        lhs0, rhs0 = _besov_sides(self.params)(1e-6)
+        lhs1, rhs1 = _besov_sides(self.params)(1e6)
         # far left: the rho term blows up the error side; far right it grows again
         assert lhs0 > rhs0
         assert lhs1 > rhs1
@@ -341,7 +341,7 @@ class TestBesovBalance:
 
         # a first root near alpha~ = 2.97 balances at LHS = RHS = 1, where the
         # tail bound says nothing; the rule returns the second one
-        lhs, rhs = _besov_sides(self.params, 2.971)
+        lhs, rhs = _besov_sides(self.params)(2.971)
         assert lhs == pytest.approx(1.0, abs=1e-3) and rhs == pytest.approx(1.0, abs=1e-3)
         result = besov_balance_alpha(self.params)
         assert result.alpha_tilde == pytest.approx(536.4, rel=1e-3)
@@ -351,11 +351,13 @@ class TestBesovBalance:
     def _sides_with_roots(rhs_levels):
         # LHS - RHS = sin(pi (t - 0.3) / 8) in t = log10(alpha~): roots at
         # t = -7.7, 0.3 and 8.3, where RHS is rhs_levels[0], [1] and [2]
-        def sides(params, alpha_tilde):
-            t = math.log10(alpha_tilde)
-            rhs = rhs_levels[0] if t < -4.0 else rhs_levels[1] if t < 4.0 else rhs_levels[2]
-            return rhs + math.sin(math.pi * (t - 0.3) / 8.0), rhs
-        return sides
+        def sides_at(params):
+            def sides(alpha_tilde):
+                t = math.log10(alpha_tilde)
+                rhs = rhs_levels[0] if t < -4.0 else rhs_levels[1] if t < 4.0 else rhs_levels[2]
+                return rhs + math.sin(math.pi * (t - 0.3) / 8.0), rhs
+            return sides
+        return sides_at
 
     def test_returns_the_root_with_the_smallest_bound(self, monkeypatch):
         from kyfanreg import rules
