@@ -161,12 +161,10 @@ def _cmd_run(args) -> int:
         export(result.summaries, out, _AUTOCONV_COLUMNS)
     else:
         export(result.summaries, out)
-    worst = max((s.flagged_count / s.trials for s in result.summaries), default=0.0)
-    if worst > _FLAGGED_LIMIT:
-        print(
-            f"error: {worst:.0%} of trials failed to converge at some eta",
-            file=sys.stderr,
-        )
+    worst = max(result.summaries, key=lambda s: s.flagged_count / s.trials)
+    if worst.flagged_count / worst.trials > _FLAGGED_LIMIT:
+        print(f"error: {worst.flagged_count} of {worst.trials} trials flagged at eta {worst.eta:g}",
+              file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 

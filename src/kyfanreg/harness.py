@@ -56,7 +56,6 @@ from .operators import (
 )
 from .regularization import (
     LandweberFilter,
-    NonConvergence,
     Tikhonov,
     Tsvd,
     _row_norms,
@@ -280,27 +279,16 @@ def _haar_matrix(m: int) -> np.ndarray:
 
 
 def _autoconv_solve(grid, haar, y_noisy, coeff_init, alpha, step, tol):
-    # prox_gradient_solve takes the adjoint at the block it last sent
-    # forward, so the synthesis c @ haar and its spectrum are computed once
-    # and reused
-    last_x = last_spectrum = None
+    def linearize(c):
+        # F and F'* at the synthesis x = c @ haar share its one spectrum
+        x = c @ haar
+        spectrum = autoconv_spectrum(grid, x)
+        return (autoconv_apply(grid, x, spectrum=spectrum),
+                lambda r: autoconv_derivative_adjoint_apply(grid, x, r, spectrum=spectrum) @ haar.T)
 
-    def fwd(c):
-        nonlocal last_x, last_spectrum
-        last_x = c @ haar
-        last_spectrum = autoconv_spectrum(grid, last_x)
-        return autoconv_apply(grid, last_x, spectrum=last_spectrum)
-
-    def adj(c, r):
-        return autoconv_derivative_adjoint_apply(grid, last_x, r, spectrum=last_spectrum) @ haar.T
-
-    try:
-        return prox_gradient_solve(
-            fwd, adj, y_noisy, alpha=alpha, step=step, x0=coeff_init, tol=tol,
-            max_iter=_MAX_ITER,
-        )
-    except NonConvergence as exc:
-        return exc.report
+    return prox_gradient_solve(
+        linearize, y_noisy, alpha=alpha, step=step, x0=coeff_init, tol=tol, max_iter=_MAX_ITER,
+    )
 
 
 def _alpha_continuation(grid, haar, y, lo_target, hi_target):

@@ -56,8 +56,7 @@ class NoiseSpec:
     m: int
 
     def __post_init__(self):
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        _integer(self.m, "m")
         if not (self.eta > 0.0 and math.isfinite(self.eta)):
             raise ValueError(f"eta must be a positive finite real, got {self.eta!r}")
 
@@ -112,14 +111,30 @@ class InflatedExpectation:
     tau: ConstantTau | LogInflatingTau
 
 
+def _integer(value, name: str, positive: bool = True) -> int:
+    """``value`` as a Python integer, checked to be positive unless told not to.
+
+    Python and numpy integers pass.  A bool does not, though Python counts
+    True as 1, and a float is rejected, not truncated.  The ValueError
+    names the argument ``name``.
+    """
+    k = None
+    if not isinstance(value, bool):
+        try:
+            k = operator.index(value)
+        except TypeError:
+            pass
+    if k is None or (positive and k < 1):
+        kind = "a positive integer" if positive else "an integer"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return k
+
+
 def _key(seed: int, index: int) -> tuple[int, int]:
     """(seed, index) as Python integers, each checked to lie in [0, 2**64)."""
     key = []
     for name, value in (("seed", seed), ("index", index)):
-        try:
-            k = operator.index(value)  # Python and numpy integers; a float is not truncated
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        k = _integer(value, name, positive=False)
         if not 0 <= k < 2**64:
             raise ValueError(f"{name} must lie in [0, 2**64), got {value!r}")
         key.append(k)
@@ -156,8 +171,7 @@ def sample_noise(spec: NoiseSpec, seed: int, trials: int) -> np.ndarray:
     The rows are filled in order from ``trial_rng(seed, 0)``, so a shorter
     draw is a prefix of a longer one at the same seed.
     """
-    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    _integer(trials, "trials")
     out = trial_rng(seed, 0).standard_normal((trials, spec.m))
     out *= spec.eta
     return out
@@ -202,8 +216,7 @@ def tail_prob_tau(tau: float, m: int) -> float:
     """
     if not (tau > 0.0):
         raise ValueError(f"tau must be positive, got {tau!r}")
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    _integer(m, "m")
     log_ratio = ln_gamma((m + 1) / 2.0) - ln_gamma(m / 2.0)
     z = math.exp(2.0 * (math.log(tau) + log_ratio))
     return reg_gamma_q(m / 2.0, z)

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .noise import _integer
+
 __all__ = [
     "SvdOperator",
     "AutoconvGrid",
@@ -92,8 +94,7 @@ class AutoconvGrid:
     m: int
 
     def __post_init__(self):
-        if not (isinstance(self.m, (int, np.integer)) and self.m >= 1):
-            raise ValueError(f"m must be a positive integer, got {self.m!r}")
+        _integer(self.m, "m")
 
     @property
     def h(self) -> float:
@@ -266,10 +267,8 @@ def besov_weights(s: float, p: float, d: int, levels: int) -> BesovWeights:
     """Weights for all 2^levels Haar coefficients, grouped by level."""
     if not (1.0 <= p <= 2.0):
         raise ValueError(f"p: must lie in [1, 2], got {p!r}")
-    if not (isinstance(d, (int, np.integer)) and d >= 1):
-        raise ValueError(f"d: must be a positive integer, got {d!r}")
-    if not (isinstance(levels, (int, np.integer)) and levels >= 1):
-        raise ValueError(f"levels: must be a positive integer, got {levels!r}")
+    _integer(d, "d:")  # "d:" and "levels:" lead the message, as config.py reads it
+    _integer(levels, "levels:")
     zeta = s - d * (0.5 - 1.0 / p)
     if not (zeta > 0.0):
         raise ValueError(f"s: smoothness too low: zeta = s - d(1/2 - 1/p) = {zeta!r} <= 0")

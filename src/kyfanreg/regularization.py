@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import trial_rng
+from .noise import _integer, trial_rng
 
 __all__ = [
     "Tikhonov",
@@ -81,7 +81,7 @@ class LandweberFilter:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome of a solver run; final_residual is ||forward(solution) - data||.
+    """Outcome of a solver run; final_residual is ||F(solution) - data||.
 
     A prox-gradient solve reports (B,) arrays of final residuals,
     per-row iteration counts and convergence flags, and a discrepancy
@@ -98,11 +98,11 @@ class SolveReport:
 
 
 class NonConvergence(RuntimeError):
-    """Raised when an iterative solver exhausts its budget; carries the state."""
+    """Not raised: a solve reports its unconverged rows in ``SolveReport.converged``.
 
-    def __init__(self, message: str, report: SolveReport):
-        super().__init__(message)
-        self.report = report
+    Kept exported because the benchmark's tracer, ``perfbench/tracing.py``,
+    still imports it.
+    """
 
 
 def _per_row_column(param) -> np.ndarray:
@@ -243,8 +243,7 @@ def _per_row(value, rows: int, what: str) -> np.ndarray:
 
 
 def prox_gradient_solve(
-    forward,
-    derivative_adjoint,
+    linearize,
     y,
     alpha,
     step,
@@ -269,24 +268,23 @@ def prox_gradient_solve(
     objective therefore never rises wherever plain proximal gradient steps
     do not raise it, as for a linear F with ``step`` <= 1/L.  ``step`` must
     not exceed 1/L where L bounds ||F'(x)||^2 near the iterates.
-    Convergence is declared when the step from the extrapolated point,
-    ||x+ - z||, drops to ``tol`` (z is then a fixed point of the proximal
-    gradient map to that accuracy); otherwise :class:`NonConvergence`
-    carries the final state.  The forward map runs twice per iteration, at
-    z for the gradient and at x+ for the objective.
+    A row converges when the step from the extrapolated point, ||x+ - z||,
+    drops to ``tol`` (z is then a fixed point of the proximal gradient map
+    to that accuracy), and stops unconverged after ``max_iter`` iterations.
 
+    ``linearize(x)`` takes any (k, m) block of the rows and returns F(x)
+    and a function r -> F'(x)* r at that block, both acting row by row: a
+    row leaves the block as soon as it stops.  Each iteration linearizes
+    twice, at z for the gradient and at x+ for the objective, where only
+    F(x+) is used; work shared by F and F'(x)* belongs inside ``linearize``.
     ``alpha`` and ``step`` are scalars or one value per row; every row gets
     the same ``max_iter`` iterations.  ``tol`` must be finite and at least
     0, and ``max_iter`` at least 0.  A (0, m) block returns an empty report:
     no rows, 0 iterations, nothing unconverged.
-    ``forward(x)`` and ``derivative_adjoint(x, r)`` must act row by row on
-    any (k, m) block of the rows: a row leaves the block as soon as it
-    stops.  ``derivative_adjoint`` is always called at the block that was
-    last passed to ``forward``, so a caller may reuse work between the two.
-    The report's ``solution`` is (B, m), ``final_residual`` is a (B,) array
-    and ``iterations`` is the total over rows; ``row_iterations`` and
-    ``converged`` hold each row's count and outcome.  NonConvergence is
-    raised when any row spends ``max_iter`` iterations unconverged.
+    The report is returned whether or not every row converged.  Its
+    ``solution`` is (B, m), ``final_residual`` is a (B,) array and
+    ``iterations`` is the total over rows; ``row_iterations`` and
+    ``converged`` hold each row's count and outcome.
     ``record_objective`` keeps the objective at x after every iteration, for
     a one-row block only.
     """
@@ -305,7 +303,8 @@ def prox_gradient_solve(
         raise ValueError(f"step must be positive, got {step!r}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
-    max_iter = operator.index(max_iter)
+    operator.index(max_iter)  # one budget for every row: a list of them is a TypeError
+    max_iter = _integer(max_iter, "max_iter", positive=False)
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter}")
     if record_objective and rows != 1:
@@ -322,7 +321,7 @@ def prox_gradient_solve(
     row_iterations = np.zeros(rows, dtype=int)
     converged = np.zeros(rows, dtype=bool)
     active = np.arange(rows)
-    res_norm, value = objective(x, forward(x) - y)
+    res_norm, value = objective(x, linearize(x)[0] - y)
     trace = [float(value[0])] if record_objective else []
     z = x
     t = np.ones(rows)
@@ -343,10 +342,12 @@ def prox_gradient_solve(
         if not active.size:  # also a (0, m) block, whose ``done`` is empty
             break
         k += 1
-        v = np.multiply(step[:, np.newaxis], derivative_adjoint(z, forward(z) - y))
+        f_z, adjoint = linearize(z)
+        v = np.multiply(step[:, np.newaxis], adjoint(f_z - y))
+        del f_z, adjoint  # z's linearization need not live beside x+'s
         np.subtract(z, v, out=v)
         x_next = _prox_lp(v, thresh, 1.0)
-        next_norm, next_value = objective(x_next, forward(x_next) - y)
+        next_norm, next_value = objective(x_next, linearize(x_next)[0] - y)
         from_z = x_next - z
         move = x_next - x
         stop = _row_norms(from_z) <= tol
@@ -366,7 +367,7 @@ def prox_gradient_solve(
         move *= momentum[:, np.newaxis]
         z = np.add(x, move, out=move)
 
-    report = SolveReport(
+    return SolveReport(
         solution=solution,
         iterations=int(row_iterations.sum()),
         final_residual=final,
@@ -374,14 +375,6 @@ def prox_gradient_solve(
         row_iterations=row_iterations,
         converged=converged,
     )
-    if not converged.all():
-        failed = ~converged
-        raise NonConvergence(
-            f"proximal gradient did not reach step {tol:.3g} in "
-            f"{int(row_iterations[failed].max())} iterations ({int(failed.sum())} of {rows} row(s))",
-            report,
-        )
-    return report
 
 
 def operator_norm_squared(

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .noise import _log_term
+from .noise import _integer, _log_term
 from .regularization import SolveReport, Tikhonov, _row_norms, filter_reconstruct
 from .special import lambert_w0, reg_gamma_q
 
@@ -252,9 +252,7 @@ class BesovBalanceParams:
         if not (self.eta > 0.0):
             raise ValueError("eta must be positive")
         for name in ("m", "n"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, np.integer)) and v >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            _integer(getattr(self, name), name)
         if not (1.0 <= self.p <= 2.0):
             raise ValueError("p must lie in [1, 2]")
         for name in ("rho", "zeta", "beta", "constant"):

@@ -224,6 +224,20 @@ class TestRunCommands:
         monkeypatch.undo()
         assert main(["run", "nu-random", "--config", cfg]) == EXIT_OK
 
+    def test_flagged_eta_fails_numerically_after_the_csv(self, tmp_path, capsys):
+        # at eta = 0.1 the balancing equation has no bounding root, so all 30
+        # trials are flagged; each row is still written
+        from test_harness import STUDY_CONFIGS
+
+        cfg = write_config(tmp_path / "besov.yaml",
+                           dict(STUDY_CONFIGS["besov"], eta_grid=[0.1, 1.0e-3]))
+        out_path = tmp_path / "besov.csv"
+        assert main(["run", "besov", "--config", cfg, "--out", str(out_path)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == "error: 30 of 30 trials flagged at eta 0.1\n"
+        rows = read_summaries(out_path)
+        assert [r.eta for r in rows] == [0.1, 1.0e-3]
+        assert math.isinf(rows[0].alpha_or_kstar) and math.isfinite(rows[1].alpha_or_kstar)
+
     def test_zero_kmax_is_config_error(self, tmp_path, capsys):
         # the study fixes its step cap: kmax is no solver key, at any value
         raw = dict(small_nu_random_config(), solver={"kmax": 0})

@@ -28,7 +28,13 @@ from kyfanreg.operators import (
     autoconv_derivative_adjoint_apply,
     autoconv_derivative_apply,
 )
-from kyfanreg.regularization import NonConvergence, _row_norms, operator_norm_squared
+from kyfanreg.regularization import (
+    Tikhonov,
+    Tsvd,
+    _row_norms,
+    filter_reconstruct,
+    operator_norm_squared,
+)
 
 rng = np.random.default_rng(3)
 
@@ -235,6 +241,25 @@ class TestFilterStudy:
         res = run_study(cfg)
         assert res.summaries[0].err_mean < 5.25  # better than the zero solution
 
+    @pytest.mark.parametrize("kind", [Tikhonov, Tsvd])
+    def test_fixed_rule_reconstructs_each_trial_at_its_alpha(self, kind):
+        # a filter record does not depend on the block size, so each error is
+        # exactly that of the trial's own data filtered alone
+        solver = {"filter": kind.__name__.lower()}
+        cfg = parse_config(dict(STUDY_CONFIGS["filter"], rule={"kind": "fixed", "alpha": 1.0e-3},
+                                solver=solver))
+        op = build_operator(cfg.operator)
+        x_true = build_truth(cfg.truth, op)
+        y_exact = op.singular_values * x_true
+        res = run_study(cfg)
+        assert len(res.trials) == len(cfg.eta_grid) * cfg.trials_per_eta
+        etas = {eta: i for i, eta in enumerate(cfg.eta_grid)}
+        for t in res.trials:
+            assert t.alpha_or_kstar == 1e-3 and not t.flagged
+            draw = trial_rng(cfg.seed, etas[t.eta] << 32 | t.trial).standard_normal(op.size)
+            x = filter_reconstruct(op, y_exact + t.eta * draw, kind(1e-3))
+            assert t.error == _row_norms((x - x_true)[np.newaxis])[0]
+
     def test_discrepancy_rule_with_a_zero_singular_value(self):
         # the kernel direction bounds the residual from below by |y_4|, about eta
         cfg = filter_config(
@@ -415,11 +440,10 @@ class TestAutoconvStudy:
         solve = harness.prox_gradient_solve
 
         def counting_solve(*args, **kwargs):
-            try:
-                return solve(*args, **kwargs)
-            except NonConvergence:
+            report = solve(*args, **kwargs)
+            if not report.converged.all():
                 unconverged.append(1)
-                raise
+            return report
 
         monkeypatch.setattr(harness, "prox_gradient_solve", counting_solve)
         monkeypatch.setattr(harness, "_MAX_ITER", 3)
@@ -525,6 +549,19 @@ class TestBesovStudy:
         assert all(s.flagged_count == 0 for s in res.summaries)
         fit = fit_rate([(s.delta_eff, s.err_kyfan) for s in res.summaries])
         assert abs(fit.slope - 1.5 / (1.5 + 1.0)) <= 0.1  # zeta / (zeta + beta)
+
+    def test_no_bounding_root_flags_every_trial_at_its_eta(self):
+        # at eta = 0.1 the balancing equation has no bounding root: every
+        # trial keeps alpha = inf and the zero solution, whose error is ||c_true||
+        res = run_study(parse_config(dict(STUDY_CONFIGS["besov"], eta_grid=[0.1, 1.0e-3])))
+        assert [s.flagged_count for s in res.summaries] == [30, 0]
+        assert math.isinf(res.summaries[0].alpha_or_kstar)
+        assert math.isfinite(res.summaries[1].alpha_or_kstar)
+        failed = [t for t in res.trials if t.eta == 0.1]
+        assert len(failed) == 30 and all(t.flagged and math.isinf(t.alpha_or_kstar) for t in failed)
+        assert {t.error for t in failed} == {failed[0].error}
+        assert failed[0].error == pytest.approx(0.30523, abs=5e-6)
+        assert not any(t.flagged for t in res.trials if t.eta == 1.0e-3)
 
     @pytest.mark.parametrize("p", [1.5, 1.0])
     def test_blocks_match_one_trial_at_a_time(self, monkeypatch, p):

@@ -25,6 +25,9 @@ from kyfanreg.noise import (
     trial_rng,
     truncate_solution,
 )
+from kyfanreg.operators import AutoconvGrid, besov_weights
+from kyfanreg.regularization import prox_gradient_solve
+from kyfanreg.rules import BesovBalanceParams
 
 
 def gaussian_log_term(eta, m):
@@ -110,6 +113,40 @@ class TestSampler:
     def test_numpy_integers_are_keys(self):
         a = trial_rng(np.uint64(2**64 - 1), np.int32(5)).standard_normal(3)
         assert np.array_equal(a, trial_rng(2**64 - 1, 5).standard_normal(3))
+
+
+def _balance_params(m, n):
+    return BesovBalanceParams(eta=0.1, m=m, n=n, p=1.5, rho=1.0, zeta=1.0, beta=1.0)
+
+
+def _solve(max_iter):
+    return prox_gradient_solve(lambda x: (x, lambda r: r), np.ones((1, 2)), alpha=0.1, step=1.0,
+                               x0=np.zeros((1, 2)), tol=1e-9, max_iter=max_iter)
+
+
+# Python counts True as 1 and False as 0: each call below took True (and,
+# for a seed, an index or a budget, False) as that integer, and a trial
+# count of True then failed inside numpy with a TypeError
+@pytest.mark.parametrize(("call", "name"), [
+    (lambda b: NoiseSpec(eta=0.1, m=b), "m"),
+    (AutoconvGrid, "m"),
+    (lambda b: tail_prob_tau(1.2, b), "m"),
+    (lambda b: besov_weights(1.0, 1.0, b, 3), "d:"),
+    (lambda b: besov_weights(1.0, 1.0, 1, b), "levels:"),
+    (lambda b: _balance_params(b, 4), "m"),
+    (lambda b: _balance_params(4, b), "n"),
+    (lambda b: trial_rng(b, 0), "seed"),
+    (lambda b: trial_rng(0, b), "index"),
+    (lambda b: rekey(trial_rng(0, 0), b, 0), "seed"),
+    (lambda b: rekey(trial_rng(0, 0), 0, b), "index"),
+    (lambda b: sample_noise(NoiseSpec(eta=0.1, m=2), b, 3), "seed"),
+    (lambda b: sample_noise(NoiseSpec(eta=0.1, m=2), 0, b), "trials"),
+    (_solve, "max_iter"),
+])
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_not_an_integer(call, name, flag):
+    with pytest.raises(ValueError, match=f"^{name} must be an? (positive )?integer, got "):
+        call(flag)
 
 
 def _flat_state(rng):

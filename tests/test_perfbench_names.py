@@ -118,3 +118,26 @@ def test_autoconv_study_calls_the_traced_names(perfbench):
     assert spans["prox_gradient_solve"] and not spans["operator_norm_squared"]
     assert leaves["autoconv_apply"] and leaves["autoconv_derivative_adjoint_apply"]
     assert tracing.round_metrics(tracer)["regularization.prox_iters"] > 0
+
+
+def test_prox_iterations_count_unconverged_solves(perfbench, monkeypatch):
+    # a solve that ends unconverged returns its report like any other, and
+    # the benchmark's iteration count must include its iterations
+    from test_harness import STUDY_CONFIGS
+
+    tracing, _ = perfbench
+    reports = []
+    solve = kyfanreg.harness.prox_gradient_solve
+
+    def counting_solve(*args, **kwargs):
+        reports.append(solve(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(kyfanreg.harness, "_MAX_ITER", 3)
+    monkeypatch.setattr(kyfanreg.harness, "prox_gradient_solve", counting_solve)
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        kyfanreg.run_study(parse_config(STUDY_CONFIGS["autoconv"]))
+    assert any(not report.converged.all() for report in reports)
+    assert tracing.round_metrics(tracer)["regularization.prox_iters"] == sum(
+        report.iterations for report in reports)

@@ -14,7 +14,6 @@ from kyfanreg.operators import (
 )
 from kyfanreg.regularization import (
     LandweberFilter,
-    NonConvergence,
     Tikhonov,
     Tsvd,
     filter_reconstruct,
@@ -254,7 +253,7 @@ class TestProxGradient:
         y = rng.standard_normal((1, 6)) * 2.0
         alpha = 0.8
         report = prox_gradient_solve(
-            lambda x: x, lambda x, r: r, y, alpha=alpha, step=1.0, x0=np.zeros((1, 6)),
+            lambda x: (x, lambda r: r), y, alpha=alpha, step=1.0, x0=np.zeros((1, 6)),
             tol=1e-14, max_iter=10_000,
         )
         assert np.allclose(report.solution, soft_threshold(y, alpha / 2.0), atol=1e-10)
@@ -262,7 +261,7 @@ class TestProxGradient:
     def test_huge_alpha_returns_zero(self):
         sigma = np.array([1.0, 0.5])
         report = prox_gradient_solve(
-            lambda x: sigma * x, lambda x, r: sigma * r, np.ones((1, 2)), alpha=1e6, step=0.9,
+            lambda x: (sigma * x, lambda r: sigma * r), np.ones((1, 2)), alpha=1e6, step=0.9,
             x0=np.zeros((1, 2)), tol=1e-13, max_iter=1000,
         )
         assert np.allclose(report.solution, 0.0)
@@ -271,7 +270,7 @@ class TestProxGradient:
         sigma = np.linspace(1.0, 0.1, 10)
         y = rng.standard_normal((1, 10))
         report = prox_gradient_solve(
-            lambda x: sigma * x, lambda x, r: sigma * r, y, alpha=0.2, step=0.9,
+            lambda x: (sigma * x, lambda r: sigma * r), y, alpha=0.2, step=0.9,
             x0=rng.standard_normal((1, 10)), tol=1e-12, max_iter=20_000, record_objective=True,
         )
         trace = np.asarray(report.objective_trace)
@@ -280,20 +279,13 @@ class TestProxGradient:
     def test_nonconvergence_carries_state(self):
         sigma = np.linspace(1.0, 0.01, 12)
         y = rng.standard_normal((1, 12))
-        with pytest.raises(NonConvergence) as info:
-            prox_gradient_solve(
-                lambda x: sigma * x, lambda x, r: sigma * r, y, alpha=1e-6, step=0.9,
-                x0=np.zeros((1, 12)), tol=1e-16, max_iter=5,
-            )
-        assert info.value.report.iterations == 5
-        assert info.value.report.solution.shape == (1, 12)
-
-
-def _one_row(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except NonConvergence as exc:
-        return exc.report
+        report = prox_gradient_solve(
+            lambda x: (sigma * x, lambda r: sigma * r), y, alpha=1e-6, step=0.9,
+            x0=np.zeros((1, 12)), tol=1e-16, max_iter=5,
+        )
+        assert not report.converged.any()
+        assert report.iterations == 5
+        assert report.solution.shape == (1, 12)
 
 
 @st.composite
@@ -319,18 +311,16 @@ class TestBatchedSolves:
     @settings(max_examples=100, deadline=None)
     def test_prox_rows_match_one_row_solves(self, problem):
         sigma, y, alpha, step, budget, x0 = problem
-        fwd = lambda x: sigma * x  # noqa: E731 - acts on row blocks
-        adj = lambda x, r: sigma * r  # noqa: E731
-        batch = _one_row(
-            prox_gradient_solve, fwd, adj, y, alpha=alpha, step=step, x0=x0, tol=1e-9,
-            max_iter=budget,
+        lin = lambda x: (sigma * x, lambda r: sigma * r)  # noqa: E731 - acts on row blocks
+        batch = prox_gradient_solve(
+            lin, y, alpha=alpha, step=step, x0=x0, tol=1e-9, max_iter=budget,
         )
         assert batch.solution.shape == y.shape
         assert batch.iterations == int(np.sum(batch.row_iterations))
         for i in range(y.shape[0]):
-            one = _one_row(
-                prox_gradient_solve, fwd, adj, y[i:i + 1], alpha=alpha[i], step=step[i],
-                x0=x0[i:i + 1], tol=1e-9, max_iter=budget,
+            one = prox_gradient_solve(
+                lin, y[i:i + 1], alpha=alpha[i], step=step[i], x0=x0[i:i + 1], tol=1e-9,
+                max_iter=budget,
             )
             assert batch.row_iterations[i] == one.iterations
             assert batch.converged[i] == one.converged[0]
@@ -343,15 +333,14 @@ class TestBatchedSolves:
         gen = np.random.default_rng(11)
         x0 = 1.0 + 0.1 * gen.standard_normal((4, 32))
         y = autoconv_apply(grid, x0 + 0.05 * gen.standard_normal((4, 32)))
-        fwd = lambda x: autoconv_apply(grid, x)  # noqa: E731
-        adj = lambda x, r: autoconv_derivative_adjoint_apply(grid, x, r)  # noqa: E731
+        lin = lambda x: (  # noqa: E731
+            autoconv_apply(grid, x), lambda r: autoconv_derivative_adjoint_apply(grid, x, r))
         alpha, step = np.array([1e-2, 1e-1, 1.0, 1e-3]), 0.2
-        batch = _one_row(prox_gradient_solve, fwd, adj, y, alpha=alpha, step=step,
-                         x0=x0, tol=1e-6, max_iter=50)
+        batch = prox_gradient_solve(lin, y, alpha=alpha, step=step, x0=x0, tol=1e-6, max_iter=50)
         assert not batch.converged.all() and batch.converged.any()
         for i in range(4):
-            one = _one_row(prox_gradient_solve, fwd, adj, y[i:i + 1], alpha=alpha[i], step=step,
-                           x0=x0[i:i + 1], tol=1e-6, max_iter=50)
+            one = prox_gradient_solve(lin, y[i:i + 1], alpha=alpha[i], step=step,
+                                      x0=x0[i:i + 1], tol=1e-6, max_iter=50)
             assert batch.row_iterations[i] == one.iterations
             assert np.max(np.abs(batch.solution[i] - one.solution[0])) <= 1e-12 * np.max(np.abs(one.solution))
 
@@ -377,24 +366,24 @@ class TestBatchedSolves:
     def test_batch_rejects_objective_recording(self):
         with pytest.raises(ValueError, match="one-row"):
             prox_gradient_solve(
-                lambda x: x, lambda x, r: r, np.ones((2, 3)), alpha=0.1, step=1.0,
+                lambda x: (x, lambda r: r), np.ones((2, 3)), alpha=0.1, step=1.0,
                 x0=np.zeros((2, 3)), tol=1e-9, max_iter=10, record_objective=True,
             )
 
     def test_per_row_arguments_are_checked(self):
         with pytest.raises(ValueError, match="alpha"):
             prox_gradient_solve(
-                lambda x: x, lambda x, r: r, np.ones((2, 3)), alpha=[0.1, -1.0], step=1.0,
+                lambda x: (x, lambda r: r), np.ones((2, 3)), alpha=[0.1, -1.0], step=1.0,
                 x0=np.zeros((2, 3)), tol=1e-9, max_iter=10,
             )
         with pytest.raises(ValueError, match="per row"):
             prox_gradient_solve(
-                lambda x: x, lambda x, r: r, np.ones((2, 3)), alpha=[0.1, 0.2, 0.3], step=1.0,
+                lambda x: (x, lambda r: r), np.ones((2, 3)), alpha=[0.1, 0.2, 0.3], step=1.0,
                 x0=np.zeros((2, 3)), tol=1e-9, max_iter=10,
             )
         with pytest.raises(TypeError):  # one budget for every row
             prox_gradient_solve(
-                lambda x: x, lambda x, r: r, np.ones((2, 3)), alpha=0.1, step=1.0,
+                lambda x: (x, lambda r: r), np.ones((2, 3)), alpha=0.1, step=1.0,
                 x0=np.zeros((2, 3)), tol=1e-9, max_iter=[10, 20],
             )
 
@@ -405,29 +394,29 @@ class TestBatchedSolves:
     def test_tol_and_max_iter_are_checked(self, tol, max_iter, what):
         with pytest.raises(ValueError, match=what):
             prox_gradient_solve(
-                lambda x: x, lambda x, r: r, np.ones((2, 3)), alpha=0.1, step=1.0,
+                lambda x: (x, lambda r: r), np.ones((2, 3)), alpha=0.1, step=1.0,
                 x0=np.zeros((2, 3)), tol=tol, max_iter=max_iter,
             )
 
     def test_zero_tol_and_zero_budget_are_allowed(self):
-        with pytest.raises(NonConvergence) as exc:
-            prox_gradient_solve(
-                lambda x: x, lambda x, r: r, np.ones((2, 3)), alpha=0.1, step=1.0,
-                x0=np.zeros((2, 3)), tol=0.0, max_iter=0,
-            )
-        assert exc.value.report.iterations == 0
-        assert np.array_equal(exc.value.report.solution, np.zeros((2, 3)))
+        report = prox_gradient_solve(
+            lambda x: (x, lambda r: r), np.ones((2, 3)), alpha=0.1, step=1.0,
+            x0=np.zeros((2, 3)), tol=0.0, max_iter=0,
+        )
+        assert not report.converged.any()
+        assert report.iterations == 0
+        assert np.array_equal(report.solution, np.zeros((2, 3)))
 
     def test_empty_block_returns_an_empty_report(self):
         calls = []
 
-        def forward(x):
+        def linearize(x):
             calls.append(x.shape)
             assert len(calls) < 5, "the solve kept iterating on an empty block"
-            return x
+            return x, lambda r: r
 
         report = prox_gradient_solve(
-            forward, lambda x, r: r, np.zeros((0, 4)), alpha=1.0, step=0.5,
+            linearize, np.zeros((0, 4)), alpha=1.0, step=0.5,
             x0=np.zeros((0, 4)), tol=1e-6, max_iter=10,
         )
         assert report.solution.shape == (0, 4)
@@ -494,7 +483,7 @@ def _solve_rows(problem, tol):
     # the solver's per-row iterations and solutions, and each row's data and alpha
     sigma, y, alpha, step = problem
     report = prox_gradient_solve(
-        lambda x: sigma * x, lambda x, r: sigma * r, y, alpha=alpha, step=step,
+        lambda x: (sigma * x, lambda r: sigma * r), y, alpha=alpha, step=step,
         x0=np.zeros_like(y), tol=tol, max_iter=20_000,
     )
     return list(zip(report.row_iterations, report.solution, y, alpha))
@@ -543,7 +532,7 @@ class TestAcceleratedProxGradient:
     def test_objective_never_rises(self, problem, seed):
         sigma, y, alpha, step = problem
         report = prox_gradient_solve(
-            lambda x: sigma * x, lambda x, r: sigma * r, y[:1], alpha=alpha[0], step=step,
+            lambda x: (sigma * x, lambda r: sigma * r), y[:1], alpha=alpha[0], step=step,
             x0=np.random.default_rng(seed).standard_normal(y[:1].shape), tol=1e-12,
             max_iter=20_000, record_objective=True,
         )
