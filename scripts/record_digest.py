@@ -8,8 +8,12 @@ trials, so it sees every value and its Python type. The record sets are the
 seven ``perfbench/configs/*.yaml`` at seeds 7 and 11, and the four
 ``STUDY_CONFIGS`` of ``tests/test_harness.py``. A last line digests the
 ``besov_balance_alpha`` results on the eta grid of
-``perfbench/configs/linear-besov.yaml``, for the besov study's own problem.
-The script only reads files and writes to standard output.
+``perfbench/configs/linear-besov.yaml``, for the besov study's own problem,
+and one more digests library functions whose rewrites must keep every bit:
+the Haar transforms and levels for n = 2^0 to 2^10 on seeded inputs, and
+``reg_gamma_q`` on a grid that reaches both of its expansions, z = 0,
+z = inf and the underflow to 0. The script only reads files and writes to
+standard output.
 """
 
 from __future__ import annotations
@@ -17,8 +21,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import importlib.util
+import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -65,6 +72,21 @@ def _balance(params):
         return ("NoBracket", str(exc), exc.scan)
 
 
+def library_outputs() -> list:
+    """Exact outputs (as Python floats and ints) of the Haar functions and ``reg_gamma_q``."""
+    out = []
+    for n in (2**k for k in range(11)):
+        x = np.random.default_rng(n).standard_normal(n)
+        coeffs = kf.haar_forward(x)
+        out.append([coeffs.tolist(), kf.haar_inverse(coeffs).tolist(), kf.haar_inverse(x).tolist(),
+                    kf.haar_level_indices(n).tolist()])
+    # z < a + 1 takes the series and z >= a + 1 the continued fraction; at
+    # a = 0.01, z = 1e4 the scale z^a e^-z / Gamma(a) underflows to 0
+    zs = [0.0, math.inf, *np.geomspace(1e-4, 1e4, 81).tolist()]
+    out.append([kf.reg_gamma_q(a, z) for a in np.geomspace(1e-2, 1e3, 31).tolist() for z in zs])
+    return out
+
+
 def _digest(text: str, name: str) -> None:
     print(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}", flush=True)
 
@@ -75,6 +97,7 @@ def main() -> int:
         _digest(repr((result.summaries, result.trials)), name)
     _digest(repr([_balance(params) for params in balance_params()]),
             "besov_balance_alpha linear-besov")
+    _digest(repr(library_outputs()), "haar_forward haar_inverse haar_level_indices reg_gamma_q")
     return 0
 
 

@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from .noise import ConstantTau, InflatedExpectation, KyFanBound, LogInflatingTau
+from .noise import ConstantTau, InflatedExpectation, KyFanBound, LogInflatingTau, _key
 from .operators import SvdOperator, besov_weights, haar_level_indices
 from .rules import AprioriFilter, Discrepancy, DiscrepancyStop, Fixed
 
@@ -352,8 +352,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         )
     if top["study"] not in _STUDY_SPECS:
         raise ConfigError(f"config.study: unknown study {top['study']!r}; allowed: {list(_STUDY_SPECS)}")
-    if not 0 <= top["seed"] < 2**64:
-        raise ConfigError(f"config.seed: must lie in [0, 2**64), got {top['seed']!r}")
+    _built("config.seed", _key, top["seed"], 0)
     study = _STUDY_SPECS[top["study"]]
     for key in ("operator", "truth", "rule"):
         kind, allowed = top[key].get("kind"), study[key]

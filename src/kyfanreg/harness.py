@@ -47,6 +47,7 @@ from .noise import (
 )
 from .operators import (
     AutoconvGrid,
+    _detail_blocks,
     autoconv_apply,
     autoconv_derivative_adjoint_apply,
     autoconv_spectrum,
@@ -399,12 +400,10 @@ def _autoconv_study(cfg: ExperimentConfig):
 
 def _level_spike_coeffs(levels: int, zeta: float, p: float, weights, norm: float) -> np.ndarray:
     n = 2**levels
-    lev = haar_level_indices(n)
     c = np.zeros(n)
     c[0] = 1.0
-    for j in range(1, levels + 1):
-        first = int(np.argmax(lev == j))
-        c[first] = 2.0 ** (-zeta * j)
+    for level, start, _ in _detail_blocks(n):  # one spike at the start of each level
+        c[start] = 2.0 ** (-zeta * level)
     besov = float(np.sum(weights * np.abs(c) ** p)) ** (1.0 / p)
     return c * (norm / besov)
 

@@ -10,10 +10,8 @@ Conventions
 * The autoconvolution of x on [0, 1] with m grid points uses the
   left-rectangle sum y_k = h * sum_{j<=k} x_j x_{k-j}, h = 1/m, which keeps
   the quadratic expansion F(x+v) = F(x) + F'(x)v + F(v) exact.
-* The Haar transform is orthonormal with full decomposition.  Coefficient
-  layout: index 0 is the overall scaling coefficient, followed by detail
-  blocks from finest to coarsest (sizes m/2, m/4, ..., 1).  Levels are
-  numbered 0 for the scaling coefficient up to log2(m) for the finest block.
+* The Haar transform is orthonormal with full decomposition; its
+  coefficient layout is stated once, in ``_detail_blocks``.
 """
 
 from __future__ import annotations
@@ -188,27 +186,37 @@ def autoconv_derivative_adjoint_apply(grid: AutoconvGrid, x, r, spectrum=None) -
 _SQRT2 = math.sqrt(2.0)
 
 
-def _check_power_of_two(n: int):
+def _detail_blocks(n: int):
+    """(level, start, size) of each detail block of n Haar coefficients, finest first.
+
+    This is the one statement of the coefficient layout.  Index 0 holds the
+    scaling coefficient, at level 0; the detail blocks, of sizes n/2, n/4,
+    ..., 1, follow it.  A block of size k is at level k.bit_length(), from
+    log2(n) for the finest down to 1.  Raises ValueError unless n is a
+    power of two.
+    """
     if n < 1 or (n & (n - 1)) != 0:
         raise ValueError(f"length must be a power of two, got {n}")
+    start, size = 1, n // 2
+    while size:
+        yield size.bit_length(), start, size
+        start += size
+        size //= 2
 
 
 def haar_forward(x) -> np.ndarray:
-    """Orthonormal discrete Haar transform, fully decomposed.
-
-    Output layout: [scaling, finest detail block, ..., coarsest detail block].
-    """
+    """Orthonormal discrete Haar transform, fully decomposed, laid out as in ``_detail_blocks``."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("haar_forward expects a 1-d array")
-    _check_power_of_two(x.size)
-    blocks = []
+    out = np.empty(x.size)
     s = x
-    while s.size > 1:
+    for _, start, size in _detail_blocks(x.size):
         even, odd = s[0::2], s[1::2]
-        blocks.append((even - odd) / _SQRT2)
+        out[start : start + size] = (even - odd) / _SQRT2
         s = (even + odd) / _SQRT2
-    return np.concatenate([s] + blocks) if blocks else s.copy()
+    out[0] = s[0]
+    return out
 
 
 def haar_inverse(c) -> np.ndarray:
@@ -216,20 +224,9 @@ def haar_inverse(c) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.ndim != 1:
         raise ValueError("haar_inverse expects a 1-d array")
-    _check_power_of_two(c.size)
-    n = c.size
-    if n == 1:
-        return c.copy()
-    # detail blocks are stored finest first; rebuild from the coarsest
-    offsets = []
-    off, size = 1, n // 2
-    while size >= 1:
-        offsets.append((off, size))
-        off += size
-        size //= 2
-    s = c[:1]
-    for off, size in reversed(offsets):
-        d = c[off : off + size]
+    s = c[:1].copy()
+    for _, start, size in reversed(list(_detail_blocks(c.size))):  # coarsest first
+        d = c[start : start + size]
         out = np.empty(2 * size)
         out[0::2] = (s + d) / _SQRT2
         out[1::2] = (s - d) / _SQRT2
@@ -239,16 +236,10 @@ def haar_inverse(c) -> np.ndarray:
 
 def haar_level_indices(n: int) -> np.ndarray:
     """Level of each Haar coefficient: 0 = scaling, log2(n) = finest details."""
-    _check_power_of_two(n)
-    levels = int(round(math.log2(n)))
-    out = np.zeros(n, dtype=int)
-    off, size, lev = 1, n // 2, levels
-    while size >= 1:
-        out[off : off + size] = lev
-        off += size
-        size //= 2
-        lev -= 1
-    return out
+    levels = [0]
+    for level, _, size in _detail_blocks(n):
+        levels += [level] * size
+    return np.array(levels)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ Conventions
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,25 +37,21 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Tikhonov:
+class _AlphaFilter:
+    # a filter with one positive parameter alpha, a scalar or one per row
+    alpha: float | np.ndarray
+
+    def __post_init__(self):
+        if not np.all(np.asarray(self.alpha) > 0.0):
+            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+
+
+class Tikhonov(_AlphaFilter):
     """Filter sigma^2 / (sigma^2 + alpha); alpha is a scalar or one per row."""
 
-    alpha: float | np.ndarray
 
-    def __post_init__(self):
-        if not np.all(np.asarray(self.alpha) > 0.0):
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
-
-
-@dataclass(frozen=True)
-class Tsvd:
+class Tsvd(_AlphaFilter):
     """Truncation filter: 1 when sigma^2 >= alpha, else 0 (boundary kept)."""
-
-    alpha: float | np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.asarray(self.alpha) > 0.0):
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -303,8 +298,7 @@ def prox_gradient_solve(
         raise ValueError(f"step must be positive, got {step!r}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
-    operator.index(max_iter)  # one budget for every row: a list of them is a TypeError
-    max_iter = _integer(max_iter, "max_iter", positive=False)
+    max_iter = _integer(max_iter, "max_iter", positive=False)  # one budget for every row
     if max_iter < 0:
         raise ValueError(f"max_iter must be non-negative, got {max_iter}")
     if record_objective and rows != 1:

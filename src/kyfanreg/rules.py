@@ -331,20 +331,18 @@ def besov_balance_alpha(params: BesovBalanceParams) -> BesovBalanceResult:
 
 
 def _bisect_balance(sides, lo: float, hi: float, f_lo: float) -> BesovBalanceResult:
-    # bisection in log10(alpha_tilde) on a bracket whose left end has LHS - RHS = f_lo
-    for _ in range(200):
+    # at most 201 bisection midpoints in log10(alpha_tilde); LHS - RHS = f_lo at lo
+    for _ in range(201):
         mid = 0.5 * (lo + hi)
         lhs, rhs = sides(10.0**mid)
         gap = lhs - rhs
         if abs(gap) <= 1e-8 * max(abs(lhs), abs(rhs)):
-            return BesovBalanceResult(alpha_tilde=10.0**mid, lhs=lhs, rhs=rhs, gap=gap)
+            break
         if (gap > 0.0) == (f_lo > 0.0):
             lo = mid
         else:
             hi = mid
-    mid = 0.5 * (lo + hi)
-    lhs, rhs = sides(10.0**mid)
-    return BesovBalanceResult(alpha_tilde=10.0**mid, lhs=lhs, rhs=rhs, gap=lhs - rhs)
+    return BesovBalanceResult(alpha_tilde=10.0**mid, lhs=lhs, rhs=rhs, gap=gap)
 
 
 # -- stochastic Tikhonov rate predictor --------------------------------------

@@ -43,9 +43,10 @@ def reg_gamma_q(a: float, z: float) -> float:
     return _gamma_q_cont_frac(a, z)
 
 
-def _log_prefactor(a: float, z: float) -> float:
-    # log of z^a e^-z / Gamma(a), the common scale of both expansions
-    return a * math.log(z) - z - math.lgamma(a)
+def _scaled(a: float, z: float, value: float) -> float:
+    # value * z^a e^-z / Gamma(a), the common scale of both expansions, or 0 if it underflows
+    log_pref = a * math.log(z) - z - math.lgamma(a)
+    return 0.0 if log_pref < _EXP_UNDERFLOW else value * math.exp(log_pref)
 
 
 def _gamma_p_series(a: float, z: float) -> float:
@@ -58,10 +59,7 @@ def _gamma_p_series(a: float, z: float) -> float:
         term *= z / denom
         total += term
         if abs(term) < abs(total) * _REL_EPS:
-            log_pref = _log_prefactor(a, z)
-            if log_pref < _EXP_UNDERFLOW:
-                return 0.0
-            return total * math.exp(log_pref)
+            return _scaled(a, z, total)
     raise ArithmeticError(f"incomplete gamma series failed to converge (a={a}, z={z})")
 
 
@@ -85,10 +83,7 @@ def _gamma_q_cont_frac(a: float, z: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _REL_EPS:
-            log_pref = _log_prefactor(a, z)
-            if log_pref < _EXP_UNDERFLOW:
-                return 0.0
-            return math.exp(log_pref) * h
+            return _scaled(a, z, h)
     raise ArithmeticError(
         f"incomplete gamma continued fraction failed to converge (a={a}, z={z})"
     )

@@ -106,6 +106,13 @@ class TestKyfanCommands:
         lines = captured.err.splitlines()
         assert captured.out == "" and len(lines) == 1 and lines[0].startswith("config error:")
 
+    def test_empirical_malformed_file(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("0.2\nabc\n")
+        assert main(["kyfan", "empirical", "--input", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"malformed distances in {path}" in captured.err
+
     def test_tail_with_mc(self, capsys):
         code = main(["kyfan", "tail", "--tau", "1.5", "--m", "4",
                      "--check-mc", "20000", "--seed", "5"])
@@ -315,6 +322,12 @@ class TestPredictCommands:
     def test_bad_rho_grid(self, capsys):
         assert main(["predict", "tikhonov-rate", "--model", "uniform",
                      "--rho-grid", "2.0,0.5"]) == EXIT_CONFIG
+
+    def test_non_numeric_rho_grid(self, capsys):
+        assert main(["predict", "tikhonov-rate", "--model", "uniform",
+                     "--rho-grid", "1e-2,x"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and "malformed --rho-grid" in captured.err
 
     def test_nu_rate(self, capsys):
         assert main(["predict", "nu-rate", "--rho", "1e-4"]) == EXIT_OK

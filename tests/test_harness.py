@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from kyfanreg import cli, harness
-from kyfanreg.config import _STUDY_SPECS, ConfigError, build_operator, build_truth, parse_config
+from kyfanreg.config import (
+    _STUDY_SPECS,
+    ConfigError,
+    build_operator,
+    build_truth,
+    load_config,
+    parse_config,
+)
 from kyfanreg.harness import (
     CSV_COLUMNS,
     EtaSummary,
@@ -164,6 +171,19 @@ class TestExport:
         export([summary_row(0.1)], path)
         path.write_text(path.read_text() + row + "\n")
         with pytest.raises(ValueError, match=f"bad.csv, line 3: expected 8 fields, got {fields}"):
+            read_summaries(path)
+
+    def test_wrong_header_names_the_file(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("eta,alpha\n0.1,0.2\n")
+        with pytest.raises(ValueError, match="bad.csv does not carry the expected summary header"):
+            read_summaries(path)
+
+    def test_non_numeric_field_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        export([summary_row(0.1)], path)
+        path.write_text(path.read_text() + "0.1,x" + ",0.2" * 6 + "\n")
+        with pytest.raises(ValueError, match="bad.csv, line 3: could not convert string to float"):
             read_summaries(path)
 
     def test_autoconv_panels(self, tmp_path):
@@ -767,11 +787,36 @@ class TestConfigValidation:
          "config.operator: the nu-random study's Landweber step .* sigma_1 = 0.0"),
         ("nu-random", "operator", {"kind": "diagonal", "singular_values": [1e-160, 1e-161]},
          "config.operator: the nu-random study's Landweber step .* sigma_1 = 1e-160"),
+        # each section names itself, whichever check rejects it
+        ("filter", "caps", {"norm": 1.0}, "config.caps: missing required key 'sup'"),
+        ("filter", "caps", [1.0, 1.0], "config.caps: expected a mapping, got list"),
+        ("filter", "study", "nope", "config.study: unknown study 'nope'"),
+        ("filter", "eta_grid", [], "config.eta_grid: must be a non-empty list"),
+        ("filter", "caps", {"norm": 0.0, "sup": 1.0}, "config.caps: norm and sup caps must be positive"),
+        ("filter", "noise_level", {"mode": "nope"}, "config.noise_level: unknown noise mode 'nope'"),
+        ("filter", "noise_level", {"mode": "inflated-expectation", "tau": {"kind": "nope"}},
+         "config.noise_level.tau: unknown tau kind 'nope'"),
     ])
     def test_study_mismatch_fails_at_parse(self, study, key, value, match):
         raw = dict(STUDY_CONFIGS[study], **{key: value})
         with pytest.raises(ConfigError, match=match):
             parse_config(raw)
+
+    def test_missing_top_level_key_is_named(self):
+        raw = dict(STUDY_CONFIGS["filter"])
+        del raw["rule"]
+        with pytest.raises(ConfigError, match="config: missing required key 'rule'"):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("text, match", [
+        ("seed: [1\n", "cannot parse config .*bad.yaml"),
+        ("", "config .*bad.yaml is empty"),
+    ])
+    def test_unreadable_yaml_names_the_file(self, tmp_path, text, match):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            load_config(path)
 
     def test_long_value_is_shortened_in_the_message(self):
         with pytest.raises(ConfigError, match=r"config.eta_grid\[\*\]") as info:

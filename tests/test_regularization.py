@@ -381,7 +381,7 @@ class TestBatchedSolves:
                 lambda x: (x, lambda r: r), np.ones((2, 3)), alpha=[0.1, 0.2, 0.3], step=1.0,
                 x0=np.zeros((2, 3)), tol=1e-9, max_iter=10,
             )
-        with pytest.raises(TypeError):  # one budget for every row
+        with pytest.raises(ValueError, match="max_iter"):  # one budget for every row
             prox_gradient_solve(
                 lambda x: (x, lambda r: r), np.ones((2, 3)), alpha=0.1, step=1.0,
                 x0=np.zeros((2, 3)), tol=1e-9, max_iter=[10, 20],
@@ -390,6 +390,7 @@ class TestBatchedSolves:
     # a NaN or negative tol would run every row to max_iter unconverged
     @pytest.mark.parametrize("tol, max_iter, what", [
         (math.nan, 10, "tol"), (math.inf, 10, "tol"), (-1e-9, 10, "tol"), (1e-9, -1, "max_iter"),
+        (1e-9, 1.5, "max_iter"), (1e-9, np.True_, "max_iter"),
     ])
     def test_tol_and_max_iter_are_checked(self, tol, max_iter, what):
         with pytest.raises(ValueError, match=what):
