@@ -8,6 +8,11 @@ kyfan tail       tail probability of ||noise|| above tau * expectation
 run <study>      run a configured Monte Carlo study, write summary CSV
 predict          evaluate the rate predictors
 
+Every CSV, a study summary or the ``predict tikhonov-rate`` table, is
+written by ``harness.export``.  Each is computed in full before it is
+written, so a study or a ``--rho-grid`` entry that fails leaves standard
+output empty.
+
 Exit codes: 0 success, 2 configuration, argument or I/O error, 3 numerical
 failure (an error raised inside a study run, whose config has been checked
 in full by then, or a study dominated by flagged trials).
@@ -185,14 +190,11 @@ def _cmd_predict(args) -> int:
         if not rhos or any(not (0.0 < r <= 1.0) for r in rhos):
             raise ConfigError("--rho-grid entries must lie in (0, 1]")
         model = _MODELS[args.model]()
-        print("rho_k,bound,xi,tau")
-        points = []
-        for rho in rhos:
-            pred = tikhonov_rate_predict(rho, model)
-            points.append((rho, pred.bound))
-            print(f"{rho:.17g},{pred.bound:.17g},{pred.xi:.17g},{pred.tau:.17g}")
-        if len(points) >= 3:
-            fit = fit_rate(points)
+        # write only once every row and the fit are computed: a failure leaves stdout empty
+        rows = [tikhonov_rate_predict(rho, model) for rho in rhos]
+        fit = fit_rate([(r.rho_k, r.bound) for r in rows]) if len(rows) >= 3 else None
+        export(rows, sys.stdout, [(c, c) for c in ("rho_k", "bound", "xi", "tau")])
+        if fit is not None:
             print(f"# loglog_slope = {fit.slope:.6g}  r_squared = {fit.r_squared:.6g}")
         return EXIT_OK
     if args.subcommand == "nu-rate":

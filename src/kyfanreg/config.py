@@ -322,6 +322,8 @@ def build_truth(spec: dict, op: SvdOperator) -> np.ndarray:
         x[(t >= 0.125) & (t < 0.375)] += 0.5 * amplitude
         x[(t >= 0.625) & (t < 0.875)] += 0.25 * amplitude
         return x
+    if kind == "level-spikes":
+        raise ValueError("a level-spikes truth is built by the besov study from its Besov weights")
     z = np.arange(1, n + 1, dtype=float) ** spec["power"]
     z = z * (spec["norm"] / np.linalg.norm(z))  # z_k ~ k^power with ||z|| = norm
     return z if kind == "random-source" else op.source_element(spec["exponent"], z)

@@ -143,8 +143,8 @@ def fit_rate(points) -> RateFit:
     pts = [(float(a), float(b)) for a, b in points]
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points for a rate fit, got {len(pts)}")
-    if any(a <= 0.0 or b <= 0.0 for a, b in pts):
-        raise ValueError("rate fits require strictly positive values")
+    if not all(0.0 < v < math.inf for pt in pts for v in pt):  # NaN fails too
+        raise ValueError("rate fits require finite, strictly positive values")
     lx = np.log([a for a, _ in pts])
     ly = np.log([b for _, b in pts])
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -550,22 +550,29 @@ def _format(value) -> str:
 _COLUMN_TYPES = tuple(typing.get_type_hints(EtaSummary)[c] for c in CSV_COLUMNS)
 
 
-def _write_text(path, write) -> None:
-    """Run ``write(handle)`` on an open text stream, or on the file at ``path``.
+def export(rows, path, columns=tuple(zip(CSV_COLUMNS, CSV_COLUMNS))) -> None:
+    """Write rows as CSV; numbers carry 17 significant digits.
 
-    A file is written in full to a temporary file beside it and then renamed
-    onto it, so a write that fails partway leaves any earlier file intact.
-    A device or pipe, such as /dev/stdout, is written in place: renaming a
-    file onto it would replace it.
+    ``path`` is a file path or an open text stream.  ``columns`` holds one
+    (header, field) pair per column; by default the CSV holds exactly the
+    documented ``EtaSummary`` columns.  A header row comes first.  The whole
+    text is built before anything is written.  A file is written to a
+    temporary file beside it and then renamed onto it, so a write that fails
+    partway leaves any earlier file intact.  A device or pipe, such as
+    /dev/stdout, is written in place: renaming a file onto it would replace it.
     """
+    headers, fields = zip(*columns)
+    lines = [",".join(headers)]
+    lines += [",".join(_format(getattr(row, f)) for f in fields) for row in rows]
+    text = "\n".join(lines) + "\n"
     if hasattr(path, "write"):
-        write(path)
+        path.write(text)
         return
     in_place = os.path.exists(path) and not os.path.isfile(path)
     tmp = path if in_place else f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            write(handle)
+            handle.write(text)
         if not in_place:
             os.replace(tmp, path)
     except OSError as exc:
@@ -573,23 +580,6 @@ def _write_text(path, write) -> None:
     finally:
         if not in_place and os.path.exists(tmp):  # the write failed before the rename
             os.unlink(tmp)
-
-
-def export(summaries, path, columns=tuple(zip(CSV_COLUMNS, CSV_COLUMNS))) -> None:
-    """Write per-eta summaries as CSV; numbers carry 17 significant digits.
-
-    ``path`` is a file path or an open text stream.  ``columns`` holds one
-    (header, ``EtaSummary`` field) pair per column; by default the CSV holds
-    exactly the documented columns.  A header row comes first.
-    """
-    headers, fields = zip(*columns)
-
-    def write(handle):
-        handle.write(",".join(headers) + "\n")
-        for s in summaries:
-            handle.write(",".join(_format(getattr(s, f)) for f in fields) + "\n")
-
-    _write_text(path, write)
 
 
 def read_summaries(path) -> list:

@@ -218,7 +218,10 @@ def tail_prob_tau(tau: float, m: int) -> float:
         raise ValueError(f"tau must be positive, got {tau!r}")
     _integer(m, "m")
     log_ratio = ln_gamma((m + 1) / 2.0) - ln_gamma(m / 2.0)
-    z = math.exp(2.0 * (math.log(tau) + log_ratio))
+    try:
+        z = math.exp(2.0 * (math.log(tau) + log_ratio))
+    except OverflowError:  # z is past the largest double, and Q(m/2, inf) = 0
+        z = math.inf
     return reg_gamma_q(m / 2.0, z)
 
 

@@ -161,7 +161,7 @@ def soft_threshold(v, t):
     """sign(v) * max(|v| - t, 0); accepts scalars or arrays, t >= 0."""
     v = np.asarray(v, dtype=float)
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
+    if not np.all(t >= 0.0):  # NaN fails too
         raise ValueError("threshold must be nonnegative")
     out = np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
     return out if out.ndim else float(out)
@@ -207,7 +207,7 @@ def prox_weighted_lp(v, t, p: float):
     t_arr = np.asarray(t, dtype=float)
     if not (1.0 <= p <= 2.0):
         raise ValueError(f"p must lie in [1, 2], got {p!r}")
-    if np.any(t_arr < 0.0):
+    if not np.all(t_arr >= 0.0):  # NaN fails too
         raise ValueError("threshold must be nonnegative")
     out = _prox_lp(v_arr, t_arr, p)
     return out if out.ndim else float(out)

@@ -366,6 +366,7 @@ class TikhonovRateModel:
 
 @dataclass(frozen=True)
 class RatePrediction:
+    rho_k: float
     bound: float
     xi: float
     tau: float
@@ -384,12 +385,15 @@ def tikhonov_rate_predict(rho_k: float, model: TikhonovRateModel) -> RatePredict
     Evaluates max{rho_K + phi_cl(xi) + phi_de(tau),
     (rho_K + alpha tau) / (sqrt(alpha) sqrt(1 - xi))} on the grid, with
     alpha = rho_K**model.alpha_exponent, and returns the minimum with its
-    minimizing (xi, tau); ties resolve to the smallest flat grid index.
+    minimizing (xi, tau); ties resolve to the smallest flat grid index.  An
+    alpha that underflows to 0 is a ``ValueError``.
     """
     if not (0.0 < rho_k <= 1.0):
         raise ValueError(f"rho_k must lie in (0, 1], got {rho_k!r}")
     xi, tau = _XI_GRID, _TAU_GRID
     alpha = rho_k**model.alpha_exponent
+    if alpha == 0.0:
+        raise ValueError(f"alpha = {rho_k!r}**{model.alpha_exponent:g} underflows to 0")
     tail = rho_k + np.asarray(model.phi_cl(xi), dtype=float)[:, None] + np.asarray(
         model.phi_de(tau), dtype=float
     )[None, :]
@@ -397,7 +401,7 @@ def tikhonov_rate_predict(rho_k: float, model: TikhonovRateModel) -> RatePredict
     bound = np.maximum(tail, err)
     flat = int(np.argmin(bound))
     i, j = np.unravel_index(flat, bound.shape)
-    return RatePrediction(bound=float(bound[i, j]), xi=float(xi[i]), tau=float(tau[j]))
+    return RatePrediction(rho_k, float(bound[i, j]), float(xi[i]), float(tau[j]))
 
 
 def uniform_source_model() -> TikhonovRateModel:

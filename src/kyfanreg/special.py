@@ -106,8 +106,8 @@ def lambert_w0(z: float) -> float:
         if z > _BRANCH_POINT * (1.0 + 4e-16):
             return -1.0
         raise ValueError(f"lambert_w0 requires z >= -1/e, got {z!r}")
-    if z == 0.0:
-        return 0.0
+    if z in (0.0, math.inf):  # W0(0) = 0 and W0(inf) = inf
+        return z
 
     if z < -0.25:
         p = math.sqrt(2.0 * (math.e * z + 1.0))

@@ -8,6 +8,12 @@ from kyfanreg.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from kyfanreg.config import parse_config
 from kyfanreg.harness import read_summaries, run_study
 from kyfanreg.noise import NoiseSpec, kyfan_bound_gaussian
+from kyfanreg.rules import (
+    combined_model,
+    heavy_tail_model,
+    tikhonov_rate_predict,
+    uniform_source_model,
+)
 
 
 def write_config(path, raw):
@@ -136,6 +142,12 @@ class TestKyfanCommands:
         assert code == EXIT_CONFIG
         assert captured.out == ""
         assert "seed" in captured.err
+
+    def test_tail_huge_tau(self, capsys):
+        code = main(["kyfan", "tail", "--tau", "1e200", "--m", "4"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert captured.out == "tail_prob = 0\n"
 
     def test_tail_negative_mc_count_is_config_error(self, capsys):
         code = main(["kyfan", "tail", "--tau", "1.5", "--m", "4", "--check-mc", "-3"])
@@ -318,6 +330,30 @@ class TestPredictCommands:
         slope_line = [l for l in out.splitlines() if l.startswith("# loglog_slope")][0]
         slope = float(slope_line.split("=")[1].split()[0])
         assert slope == pytest.approx(1.0 / 3.0, abs=0.02)
+
+    @pytest.mark.parametrize("model, build", [
+        ("uniform", uniform_source_model),
+        ("heavytail", heavy_tail_model),
+        ("combined", combined_model),
+    ])
+    def test_tikhonov_rate_rows_match_the_library(self, model, build, capsys):
+        rhos = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+        assert main(["predict", "tikhonov-rate", "--model", model,
+                     "--rho-grid", ",".join(map(str, rhos))]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        rows = [(r, tikhonov_rate_predict(r, build())) for r in rhos]
+        assert lines[:-1] == ["rho_k,bound,xi,tau"] + [
+            f"{r:.17g},{p.bound:.17g},{p.xi:.17g},{p.tau:.17g}" for r, p in rows
+        ]
+        assert lines[-1].startswith("# loglog_slope = ")
+
+    def test_underflowing_alpha_leaves_stdout_empty(self, capsys):
+        code = main(["predict", "tikhonov-rate", "--model", "combined",
+                     "--rho-grid", "1e-300,1e-2,1e-3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert "underflows to 0" in captured.err
 
     def test_bad_rho_grid(self, capsys):
         assert main(["predict", "tikhonov-rate", "--model", "uniform",

@@ -87,6 +87,11 @@ class TestFitRate:
             fit_rate([(1.0, 1.0), (2.0, 2.0)])
         with pytest.raises(ValueError):
             fit_rate([(1.0, 1.0), (2.0, -2.0), (3.0, 1.0)])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite, strictly positive"):
+                fit_rate([(1.0, 1.0), (2.0, bad), (3.0, 3.0)])
+            with pytest.raises(ValueError, match="finite, strictly positive"):
+                fit_rate([(1.0, 1.0), (bad, 2.0), (3.0, 3.0)])
 
 
 def summary_row(eta=0.1, **kw):
@@ -531,6 +536,11 @@ class TestBesovStudy:
             "rule": rule,
             "solver": {"s": 1.0, "p": 1.0, "d": 1},
         })
+
+    def test_level_spikes_truth_is_left_to_the_study(self):
+        cfg = self.config({"kind": "kyfan-squared"})
+        with pytest.raises(ValueError, match="level-spikes truth is built by the besov study"):
+            build_truth(cfg.truth, build_operator(cfg.operator))
 
     def test_summaries_and_alpha_rule(self):
         res = run_study(self.config({"kind": "kyfan-squared", "scale": 2.0}))

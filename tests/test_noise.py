@@ -263,6 +263,11 @@ class TestTailProb:
         with pytest.raises(ValueError):
             tail_prob_tau(0.0, 4)
 
+    @pytest.mark.parametrize("tau", [1e200, math.inf])
+    def test_huge_tau_has_zero_tail(self, tau):
+        # (tau E||eps||)^2 is past the largest double: Q(m/2, inf) = 0
+        assert tail_prob_tau(tau, 4) == 0.0
+
 
 def _interval_scan_kyfan(d):
     """The Ky Fan estimate by a scan of the intervals between distinct values.

@@ -144,6 +144,8 @@ class TestSoftThreshold:
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError):
             soft_threshold(1.0, -0.1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            soft_threshold(1.0, np.nan)
 
 
 class TestProxWeightedLp:
@@ -156,6 +158,13 @@ class TestProxWeightedLp:
 
     def test_p2_closed_form(self):
         assert prox_weighted_lp(1.0, 0.5, 2.0) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_rejects_nan_threshold(self, p):
+        with pytest.raises(ValueError, match="nonnegative"):
+            prox_weighted_lp(1.0, np.nan, p)
+        with pytest.raises(ValueError, match="nonnegative"):
+            prox_weighted_lp([1.0, 2.0], [0.5, np.nan], p)
 
     @given(
         st.floats(min_value=-50.0, max_value=50.0),

@@ -406,12 +406,19 @@ class TestTikhonovRatePredict:
 
     def test_returns_minimizer(self):
         pred = tikhonov_rate_predict(1e-3, uniform_source_model())
+        assert pred.rho_k == 1e-3
         assert 0.0 < pred.xi < 1.0
         assert pred.tau > 0.0
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             tikhonov_rate_predict(2.0, uniform_source_model())
+
+    def test_rejects_underflowing_alpha(self):
+        # 1e-300**1.25 is below the smallest double; 1e-300**1 is not
+        assert tikhonov_rate_predict(1e-300, uniform_source_model()).bound > 0.0
+        with pytest.raises(ValueError, match="underflows to 0"):
+            tikhonov_rate_predict(1e-300, combined_model())
 
 
 class TestNuEffective:

@@ -89,6 +89,7 @@ class TestRegGammaQ:
 class TestLambertW:
     def test_trivial_points(self):
         assert lambert_w0(0.0) == 0.0
+        assert lambert_w0(math.inf) == math.inf
         assert lambert_w0(math.e) == pytest.approx(1.0, abs=1e-12)
 
     def test_unit_against_bisection(self):
