@@ -296,19 +296,25 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target):
     """Search alpha with residual in [lo_target, hi_target] for each data row.
 
     Each row starts above its kill-everything alpha and moves geometrically
-    toward the band: x4 steps until the band is bracketed, then bisection in
-    log alpha, for at most _MAX_ALPHA_STEPS alphas.  Every alpha step is one
-    batched solve over the rows still searching.  Each solve runs until it
-    converges or spends its _MAX_ITER iterations, and the residual is read
-    at its end: the accelerated solver's residual can dip below the band on
-    the way, and stopping at such a dip would read the alpha as below the
-    band and trip the band-jump test.  An unconverged end residual moves
-    alpha like any other; the next solve starts from where this one stopped.
+    toward the band, for at most _MAX_ALPHA_STEPS alphas.  Until the band is
+    bracketed, a row steps by a secant through its last two (log alpha, log
+    residual) points, aimed at the band's log-middle sqrt(lo * hi) and
+    clamped to a factor in [1.2, 4]; its first step, and any step without a
+    finite positive slope, is x4.  Once bracketed it bisects in log alpha.
+    Every alpha step is one batched solve over the rows still searching.
+    Each solve runs until it converges or spends its _MAX_ITER iterations,
+    and the residual is read at its end: the accelerated solver's residual
+    can dip below the band on the way, and stopping at such a dip would read
+    the alpha as below the band and trip the band-jump test.  An unconverged
+    end residual moves alpha like any other; the next solve starts from
+    where this one stopped.
     Every solve of a row takes the same step: _STEP_SAFETY over
     ||F'(x0)||^2, taken exactly from its closed form at the row's constant
     initial fit x0.  Returns each row's last alpha, Haar coefficients and
     residual, and whether it is flagged: searched, and ended outside the
-    band.  A row with ||y|| <= lo_target is trivial, by the test of
+    band.  A row whose solve ends at x = 0 above the band stops there,
+    flagged: F'(0) = 0 makes 0 a fixed point of every later warm-started
+    solve.  A row with ||y|| <= lo_target is trivial, by the test of
     ``discrepancy_alpha``: it keeps alpha = inf, zero coefficients and
     residual ||y||, unflagged, and is never solved.  A solve converges when
     its step falls to _TOL_REL * lo_target: the band asks for the residual
@@ -335,6 +341,8 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target):
     alpha_hi = np.full(rows, math.nan)
     alpha_lo = np.full(rows, math.nan)
     last_alpha = alpha.copy()
+    last_alpha[searching] = math.nan  # no earlier point: the first step is x4
+    mid_target = math.sqrt(lo_target * hi_target)
     flagged = np.zeros(rows, dtype=bool)
     for _ in range(_MAX_ALPHA_STEPS):
         if not searching.size:
@@ -342,30 +350,38 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target):
         report = _autoconv_solve(
             grid, haar, y[searching], coeffs[searching], alpha[searching], step[searching], tol,
         )
+        a_prev, r_prev = last_alpha[searching], residual[searching]
         coeffs[searching] = report.solution
         res = residual[searching] = report.final_residual
         a = last_alpha[searching] = alpha[searching]
+        at_zero = ~report.solution.any(axis=1)
         del report  # the next solve need not hold this one's arrays
         above, below = res > hi_target, res < lo_target
         flagged[searching] = above | below
         up, down = searching[above], searching[below]
         alpha_hi[up] = a[above]
         alpha_lo[down] = a[below]
-        alpha[up] = np.where(np.isnan(alpha_lo[up]), a[above] / 4.0,
+        with np.errstate(all="ignore"):  # nan or inf slopes are replaced below
+            slope = np.log(res / r_prev) / np.log(a / a_prev)
+            factor = np.clip(np.exp(np.abs(np.log(res / mid_target)) / slope), 1.2, 4.0)
+        factor[~(np.isfinite(slope) & (slope > 0))] = 4.0
+        alpha[up] = np.where(np.isnan(alpha_lo[up]), a[above] / factor[above],
                              np.sqrt(a[above] * alpha_lo[up]))
-        alpha[down] = np.where(np.isnan(alpha_hi[down]), a[below] * 4.0,
+        alpha[down] = np.where(np.isnan(alpha_hi[down]), a[below] * factor[below],
                                np.sqrt(a[below] * alpha_hi[down]))
         # a row whose residual jumps across the band between two alphas 2%
         # apart has no in-band alpha on this branch: it keeps its closest attempt
         jumped = alpha_hi[searching] / alpha_lo[searching] < 1.02
-        searching = searching[(above | below) & ~jumped]
+        searching = searching[(above & ~at_zero | below) & ~jumped]
     return last_alpha, coeffs, residual, flagged
 
 
 # The autoconv alpha search: a solve stops at step _TOL_REL * tau1 * delta_eff
 # (the band's lower edge, since tau1 = tau2 is a band of width 0) or after
 # _MAX_ITER iterations, a trial after _MAX_ALPHA_STEPS alphas (so at most
-# 32,000 iterations); steps are _STEP_SAFETY / Lipschitz.
+# 32,000 iterations); steps are _STEP_SAFETY / Lipschitz.  Until bracketed,
+# alpha moves by a secant factor in [1.2, 4]: 4 is the most a row ever moves,
+# and 1.2 is about the band's own width in residual, 1.3 / 1.1.
 _TOL_REL = 2e-3
 _MAX_ITER = 800
 _MAX_ALPHA_STEPS = 40
@@ -558,8 +574,10 @@ def export(rows, path, columns=tuple(zip(CSV_COLUMNS, CSV_COLUMNS))) -> None:
     documented ``EtaSummary`` columns.  A header row comes first.  The whole
     text is built before anything is written.  A file is written to a
     temporary file beside it and then renamed onto it, so a write that fails
-    partway leaves any earlier file intact.  A device or pipe, such as
-    /dev/stdout, is written in place: renaming a file onto it would replace it.
+    partway leaves any earlier file intact.  A symbolic link is written
+    through: the rename lands on the file it resolves to, and the link stays.
+    A device or pipe, such as /dev/stdout, is written in place: renaming a
+    file onto it would replace it.
     """
     headers, fields = zip(*columns)
     lines = [",".join(headers)]
@@ -569,12 +587,13 @@ def export(rows, path, columns=tuple(zip(CSV_COLUMNS, CSV_COLUMNS))) -> None:
         path.write(text)
         return
     in_place = os.path.exists(path) and not os.path.isfile(path)
-    tmp = path if in_place else f"{os.fspath(path)}.{os.getpid()}.tmp"
+    target = path if in_place else os.path.realpath(path)
+    tmp = target if in_place else f"{target}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(text)
         if not in_place:
-            os.replace(tmp, path)
+            os.replace(tmp, target)
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
     finally:

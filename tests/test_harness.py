@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -42,6 +43,7 @@ from kyfanreg.regularization import (
     filter_reconstruct,
     operator_norm_squared,
 )
+from test_acceptance import _autoconv_config
 
 rng = np.random.default_rng(3)
 
@@ -169,6 +171,16 @@ class TestExport:
             os.close(reader)
         assert stat.S_ISFIFO(os.stat(pipe).st_mode)
         assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+    def test_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        export([summary_row()], link)
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
+        assert read_summaries(link) == read_summaries(target) != []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
 
     @pytest.mark.parametrize("row, fields", [("0.1,0.2,0.3", 3), ("0.1," * 8 + "9", 9)])
     def test_malformed_row_names_path_and_line(self, tmp_path, row, fields):
@@ -396,19 +408,30 @@ class TestAutoconvStudy:
         step = harness._STEP_SAFETY / harness._constant_lipschitz(grid, x0[:, 0])
         grad0 = autoconv_derivative_adjoint_apply(grid, x0, autoconv_apply(grid, x0) - y) @ haar.T
         alpha = max(4.0 * float(np.max(np.abs(grad0))), 1e-12)
-        alpha_hi = alpha_lo = math.nan
+        alpha_hi = alpha_lo = a_prev = r_prev = math.nan
         for _ in range(harness._MAX_ALPHA_STEPS):
             report = harness._autoconv_solve(grid, haar, y[np.newaxis], coeffs, alpha, step,
                                              harness._TOL_REL * lo_target)
             coeffs, res, a = report.solution, float(report.final_residual[0]), alpha
+            if lo_target <= res <= hi_target:
+                return a, coeffs[0], res, True
+            if res > hi_target and not coeffs.any():  # x = 0 stays 0 at every smaller alpha
+                break
+            # secant through the last two points toward sqrt(lo * hi), x4 without a slope
+            with np.errstate(all="ignore"):
+                slope = np.log(res / r_prev) / np.log(a / a_prev)
+            factor = 4.0
+            if np.isfinite(slope) and slope > 0:
+                distance = np.abs(np.log(res / math.sqrt(lo_target * hi_target)))
+                with np.errstate(over="ignore"):
+                    factor = float(np.clip(np.exp(distance / slope), 1.2, 4.0))
+            a_prev, r_prev = a, res
             if res > hi_target:
                 alpha_hi = a
-                alpha = a / 4.0 if math.isnan(alpha_lo) else math.sqrt(a * alpha_lo)
-            elif res < lo_target:
-                alpha_lo = a
-                alpha = a * 4.0 if math.isnan(alpha_hi) else math.sqrt(a * alpha_hi)
+                alpha = a / factor if math.isnan(alpha_lo) else math.sqrt(a * alpha_lo)
             else:
-                return a, coeffs[0], res, True
+                alpha_lo = a
+                alpha = a * factor if math.isnan(alpha_hi) else math.sqrt(a * alpha_hi)
             if alpha_hi / alpha_lo < 1.02:
                 break
         return a, coeffs[0], res, False
@@ -458,6 +481,44 @@ class TestAutoconvStudy:
         for got, want in zip((alpha, coeffs, residual, flagged), searched, strict=True):
             assert np.array_equal(got[~trivial], want)
         assert np.all(np.isfinite(alpha[~trivial]))
+
+    def test_a_row_ending_at_zero_above_the_band_is_not_solved_again(self, monkeypatch):
+        # F'(0) = 0 makes x = 0 a fixed point of every later warm-started
+        # solve: such a row could only re-read ||y|| at ever smaller alphas
+        cfg = parse_config(STUDY_CONFIGS["autoconv"])
+        m, eta = 32, 0.03
+        grid, haar = AutoconvGrid(m), harness._haar_matrix(m)
+        y_exact = autoconv_apply(grid, build_truth(cfg.truth, build_operator(cfg.operator)))
+        y = np.stack([y_exact + eta * trial_rng(cfg.seed, t).standard_normal(m) for t in range(30)])
+        dlt = delta_eff(NoiseSpec(eta=eta, m=m), cfg.noise_mode)
+        lo, hi = 1.1 * dlt, 1.3 * dlt
+        solves = []
+        solve = harness._autoconv_solve
+
+        def recording_solve(grid, haar, y_block, *args):
+            report = solve(grid, haar, y_block, *args)
+            rows = [int(np.flatnonzero((y == row).all(axis=1))[0]) for row in y_block]
+            solves.append((rows, report.solution, report.final_residual))
+            return report
+
+        monkeypatch.setattr(harness, "_autoconv_solve", recording_solve)
+        alpha, coeffs, residual, flagged = harness._alpha_continuation(grid, haar, y, lo, hi)
+        stopped = set()
+        for rows, solution, res in solves:
+            assert stopped.isdisjoint(rows)
+            stopped.update(r for r, x, e in zip(rows, solution, res) if e > hi and not x.any())
+        stopped = sorted(stopped)
+        assert stopped and len(stopped) < len(y)
+        assert np.all(flagged[stopped]) and not np.any(coeffs[stopped])
+        assert residual[stopped] == pytest.approx(_row_norms(y[stopped]), rel=1e-12)
+
+    def test_criterion_5_constant_tau_flags_no_trial_at_eta_1e_2(self):
+        # criterion 5's problem and draws, cut to its first two etas (draws are
+        # keyed by eta index): fixed x4 steps overshot the band and flagged 14
+        cfg = _autoconv_config({"kind": "constant", "value": 1.3})
+        res = run_study(dataclasses.replace(cfg, eta_grid=cfg.eta_grid[:2]))
+        assert res.summaries[1].eta == 1e-2
+        assert res.summaries[1].flagged_count == 0
 
     def test_unconverged_solves_still_end_each_trial(self, monkeypatch):
         # with 3 iterations per solve, unconverged end residuals steer the search
@@ -964,8 +1025,8 @@ PINNED_SUMMARIES = {
          0.13097719248422238, 0.02381940065819717, 30, 0, 0, None, None),
     ],
     "autoconv": [
-        (0.1, 0.5656854249492381, 0.20015711571522948, 1.7531075411125525,
-         0.8, 0.6871755556942498, 30, 0, 6, 2.376952198010847, None),
+        (0.1, 0.5656854249492381, 0.2531023127234536, 1.7531075411125525,
+         0.8, 0.6871755556942498, 30, 0, 6, 1.822297893904132, None),
         (0.01, 0.05656854249492381, 0.023328161839512754, 0.3624153811057021,
          0.36573156622247904, 0.067939373597524, 30, 0, 0, 0.2804104400362551, None),
     ],
