@@ -12,15 +12,18 @@ seven ``perfbench/configs/*.yaml`` at seeds 7 and 11, and the four
 and one more digests library functions whose rewrites must keep every bit:
 the Haar transforms and levels for n = 2^0 to 2^10 on seeded inputs, and
 ``reg_gamma_q`` on a grid that reaches both of its expansions, z = 0,
-z = inf and the underflow to 0. The script only reads files and writes to
-standard output.
+z = inf and the underflow to 0. The last line digests the standard output
+and exit code of the README's ``kyfan`` and ``predict`` commands, run through
+``cli.main``. The script only reads files and writes to standard output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import importlib.util
+import io
 import math
 import sys
 from pathlib import Path
@@ -29,8 +32,10 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))  # test_harness.py imports test_acceptance
 
 import kyfanreg as kf  # noqa: E402
+from kyfanreg import cli  # noqa: E402
 
 SEEDS = (7, 11)
 
@@ -87,6 +92,25 @@ def library_outputs() -> list:
     return out
 
 
+CLI_COMMANDS = (
+    "kyfan bound --eta 0.01 --m 64",
+    "kyfan tail --tau 1.5 --m 4 --check-mc 200000 --seed 1",
+    *(f"predict tikhonov-rate --model {model} --rho-grid 1e-1,1e-2,1e-3,1e-4,1e-5,1e-6"
+      for model in ("uniform", "heavytail", "combined")),
+    "predict nu-rate --rho 1e-4",
+)
+
+
+def cli_outputs() -> list:
+    """(command, exit code, standard output) of each of ``CLI_COMMANDS``."""
+    out = []
+    for command in CLI_COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            code = cli.main(command.split())
+        out.append((command, code, stdout.getvalue()))
+    return out
+
+
 def _digest(text: str, name: str) -> None:
     print(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}", flush=True)
 
@@ -98,6 +122,7 @@ def main() -> int:
     _digest(repr([_balance(params) for params in balance_params()]),
             "besov_balance_alpha linear-besov")
     _digest(repr(library_outputs()), "haar_forward haar_inverse haar_level_indices reg_gamma_q")
+    _digest(repr(cli_outputs()), "cli kyfan bound, kyfan tail, predict tikhonov-rate and nu-rate")
     return 0
 
 

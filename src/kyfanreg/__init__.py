@@ -7,6 +7,9 @@ deterministic parameter-choice rules (a priori filter rules, discrepancy
 principles, balancing equations), runs spectral-filter, Landweber, and
 proximal-gradient solvers, and verifies convergence rates at desk scale
 with reproducible Monte Carlo studies.
+
+The imports below are the package's one list of public names: the modules
+keep no ``__all__``, and a name left out here is a module's own helper.
 """
 
 from .config import ConfigError, ExperimentConfig, KyFanSquared, load_config, parse_config

@@ -46,8 +46,6 @@ from .rules import (
     uniform_source_model,
 )
 
-__all__ = ["main"]
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3

@@ -48,6 +48,10 @@ alpha = alpha_tilde(eta) * eta^2 with alpha_tilde from the balancing
 equation.  The discrepancy rule solves by Tikhonov, so the filter study
 rejects it with the tsvd filter.
 
+A kind of operator, truth, rule, noise_level or tau is declared once, as
+one entry of ``_SECTIONS``: its builder and its keys, with their types and
+defaults.  ``_parse_spec`` reads every section from that table.
+
 The parser checks operator and truth specs by building them with
 ``build_operator`` and ``build_truth``, the builders the studies call, and
 checks the besov solver keys with ``besov_weights``.  A spec these reject
@@ -66,17 +70,6 @@ import yaml
 from .noise import ConstantTau, InflatedExpectation, KyFanBound, LogInflatingTau, _key
 from .operators import SvdOperator, besov_weights, haar_level_indices
 from .rules import AprioriFilter, Discrepancy, DiscrepancyStop, Fixed
-
-__all__ = [
-    "BesovBalanceRule",
-    "ConfigError",
-    "ExperimentConfig",
-    "KyFanSquared",
-    "build_operator",
-    "build_truth",
-    "load_config",
-    "parse_config",
-]
 
 SCHEMA_VERSION = 1
 
@@ -131,9 +124,8 @@ def _mapping(value, where: str) -> dict:
     return value
 
 
-def _take(mapping: dict, where: str, required: dict, optional: dict | None = None) -> dict:
+def _take(mapping: dict, where: str, required: dict, optional: dict) -> dict:
     """Extract and type-check keys; any unknown key is a hard error."""
-    optional = optional or {}
     known = set(required) | set(optional)
     unknown = set(mapping) - known
     if unknown:
@@ -149,6 +141,8 @@ def _take(mapping: dict, where: str, required: dict, optional: dict | None = Non
 
 
 def _coerce(value, kind, where: str):
+    if kind in _SECTIONS:
+        return _parse_spec(value, kind, where)
     if kind is dict:
         return _mapping(value, where)
     if isinstance(kind, tuple):  # one of these strings
@@ -185,55 +179,57 @@ def _coerce(value, kind, where: str):
     raise ConfigError(f"{where}: expected {expected}, got {shown}")
 
 
-def _parse_tau(spec: dict, where: str):
-    kind = _mapping(spec, where).get("kind")
-    if kind == "constant":
-        got = _take(spec, where, {"kind": str, "value": float})
-        return _built(where, ConstantTau, got["value"])
-    if kind == "log-inflating":
-        _take(spec, where, {"kind": str})
-        return LogInflatingTau()
-    raise ConfigError(f"{where}: unknown tau kind {kind!r}")
-
-
-def _parse_noise_level(spec: dict, where: str):
-    mode = _mapping(spec, where).get("mode")
-    if mode == "kyfan-bound":
-        _take(spec, where, {"mode": str})
-        return KyFanBound()
-    if mode == "inflated-expectation":
-        got = _take(spec, where, {"mode": str, "tau": dict})
-        return InflatedExpectation(tau=_parse_tau(got["tau"], f"{where}.tau"))
-    raise ConfigError(f"{where}: unknown noise mode {mode!r}")
-
-
-_OPERATOR_SCHEMAS = {
-    "diagonal": ({"kind": str, "singular_values": list}, {}),
-    "diagonal-powerlaw": ({"kind": str, "size": int, "decay": float}, {}),
-    "haar-diagonal": ({"kind": str, "levels": int, "decay": float}, {}),
-    "autoconv": ({"kind": str, "size": int}, {}),
-}
-
-_TRUTH_SCHEMAS = {
-    "explicit": ({"kind": str, "values": list}, {}),
-    "source-powerlaw": (
-        {"kind": str, "exponent": float, "power": float, "norm": float},
-        {},
-    ),
-    "random-source": ({"kind": str, "power": float, "norm": float}, {}),
-    "two-bump": ({"kind": str}, {"amplitude": (float, 1.0)}),
-    "level-spikes": ({"kind": str, "norm": float}, {}),
+# Each kinded section: the key that names its kind, the noun of its unknown-kind
+# error, and its kinds.  A kind is its builder, its required keys with their
+# types and its optional keys with (type, default); a key typed with a section's
+# name is parsed as that section.  ``dict`` keeps the checked mapping, kind and all.
+_SECTIONS = {
+    "operator": ("kind", "operator kind", {
+        "diagonal": (dict, {"singular_values": list}, {}),
+        "diagonal-powerlaw": (dict, {"size": int, "decay": float}, {}),
+        "haar-diagonal": (dict, {"levels": int, "decay": float}, {}),
+        "autoconv": (dict, {"size": int}, {}),
+    }),
+    "truth": ("kind", "truth kind", {
+        "explicit": (dict, {"values": list}, {}),
+        "source-powerlaw": (dict, {"exponent": float, "power": float, "norm": float}, {}),
+        "random-source": (dict, {"power": float, "norm": float}, {}),
+        "two-bump": (dict, {}, {"amplitude": (float, 1.0)}),
+        "level-spikes": (dict, {"norm": float}, {}),
+    }),
+    "rule": ("kind", "rule kind", {
+        "apriori": (AprioriFilter, {"beta": float, "nu": float, "rho": float},
+                    {"constant": (float, 1.0)}),
+        "discrepancy": (Discrepancy, {"tau1": float, "tau2": float}, {}),
+        "discrepancy-stop": (DiscrepancyStop, {"tau_hat": float}, {}),
+        "fixed": (Fixed, {"alpha": float}, {}),
+        "kyfan-squared": (KyFanSquared, {}, {"scale": (float, 1.0)}),
+        "besov-balance": (BesovBalanceRule, {}, {}),
+    }),
+    "noise_level": ("mode", "noise mode", {
+        "kyfan-bound": (KyFanBound, {}, {}),
+        "inflated-expectation": (InflatedExpectation, {"tau": "tau"}, {}),
+    }),
+    "tau": ("kind", "tau kind", {
+        "constant": (lambda value: ConstantTau(value), {"value": float}, {}),
+        "log-inflating": (LogInflatingTau, {}, {}),
+    }),
 }
 
 
-_RULE_SCHEMAS = {
-    "apriori": (AprioriFilter, {"beta": float, "nu": float, "rho": float}, {"constant": (float, 1.0)}),
-    "discrepancy": (Discrepancy, {"tau1": float, "tau2": float}, {}),
-    "discrepancy-stop": (DiscrepancyStop, {"tau_hat": float}, {}),
-    "fixed": (Fixed, {"alpha": float}, {}),
-    "kyfan-squared": (KyFanSquared, {}, {"scale": (float, 1.0)}),
-    "besov-balance": (BesovBalanceRule, {}, {}),
-}
+def _parse_spec(spec, section: str, where: str):
+    """Check ``spec`` against its kind in ``_SECTIONS[section]`` and build it."""
+    key, noun, kinds = _SECTIONS[section]
+    kind = _mapping(spec, where).get(key)
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ConfigError(f"{where}: unknown {noun} {kind!r}")
+    build, required, optional = kinds[kind]
+    got = _take(spec, where, {key: str, **required}, optional)
+    if build is dict:
+        return got
+    del got[key]
+    return _built(where, build, **got)
+
 
 # What each study runs: its operator, truth and rule kinds, and its solver
 # keys with their types and defaults.  Any other kind or key is a
@@ -266,19 +262,6 @@ _STUDY_SPECS = {
         "solver": {},
     },
 }
-
-
-def _parse_kinded(spec: dict, schemas: dict, where: str) -> dict:
-    # the study's kind check has run: every kind that reaches here is known
-    required, optional = schemas[spec["kind"]]
-    return _take(spec, where, required, optional)
-
-
-def _parse_rule(spec: dict, where: str):
-    make, required, optional = _RULE_SCHEMAS[spec["kind"]]
-    got = _take(spec, where, {"kind": str, **required}, optional)
-    del got["kind"]
-    return _built(where, make, **got)
 
 
 def _built(where: str, build, *args, **kwargs):
@@ -375,12 +358,12 @@ def parse_config(raw: dict) -> ExperimentConfig:
             "(the Ky Fan estimator resolves 1/trials)"
         )
 
-    caps_got = _take(top["caps"], "config.caps", {"norm": float, "sup": float})
+    caps_got = _take(top["caps"], "config.caps", {"norm": float, "sup": float}, {})
     if caps_got["norm"] <= 0.0 or caps_got["sup"] <= 0.0:
         raise ConfigError("config.caps: norm and sup caps must be positive")
 
-    operator = _parse_kinded(top["operator"], _OPERATOR_SCHEMAS, "config.operator")
-    truth = _parse_kinded(top["truth"], _TRUTH_SCHEMAS, "config.truth")
+    operator = _parse_spec(top["operator"], "operator", "config.operator")
+    truth = _parse_spec(top["truth"], "truth", "config.truth")
     op = _built("config.operator", build_operator, operator)
     if truth["kind"] != "level-spikes":  # built from the Besov weights checked below
         _built("config.truth", build_truth, truth, op)
@@ -413,11 +396,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         seed=top["seed"],
         eta_grid=tuple(grid),
         trials_per_eta=top["trials_per_eta"],
-        noise_mode=_parse_noise_level(top["noise_level"], "config.noise_level"),
+        noise_mode=_parse_spec(top["noise_level"], "noise_level", "config.noise_level"),
         caps=Caps(norm=caps_got["norm"], sup=caps_got["sup"]),
         operator=operator,
         truth=truth,
-        rule=_parse_rule(top["rule"], "config.rule"),
+        rule=_parse_spec(top["rule"], "rule", "config.rule"),
         solver=solver,
     )
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import typing
 from dataclasses import dataclass
 
@@ -80,18 +81,6 @@ from .rules import (
 # module, so they must stay importable from it.
 from .operators import autoconv_derivative_apply  # noqa: F401
 from .regularization import operator_norm_squared  # noqa: F401
-
-__all__ = [
-    "TrialResult",
-    "EtaSummary",
-    "StudyResult",
-    "RateFit",
-    "run_study",
-    "fit_rate",
-    "export",
-    "read_summaries",
-    "CSV_COLUMNS",
-]
 
 
 @dataclass(frozen=True)
@@ -145,6 +134,8 @@ def fit_rate(points) -> RateFit:
         raise ValueError(f"need at least 3 points for a rate fit, got {len(pts)}")
     if not all(0.0 < v < math.inf for pt in pts for v in pt):  # NaN fails too
         raise ValueError("rate fits require finite, strictly positive values")
+    if len({a for a, _ in pts}) < 2:
+        raise ValueError(f"rate fits need 2 or more distinct noise values, got only {pts[0][0]!r}")
     lx = np.log([a for a, _ in pts])
     ly = np.log([b for _, b in pts])
     slope, intercept = np.polyfit(lx, ly, 1)
@@ -576,13 +567,16 @@ def export(rows, path, columns=tuple(zip(CSV_COLUMNS, CSV_COLUMNS))) -> None:
     temporary file beside it and then renamed onto it, so a write that fails
     partway leaves any earlier file intact.  A symbolic link is written
     through: the rename lands on the file it resolves to, and the link stays.
-    A device or pipe, such as /dev/stdout, is written in place: renaming a
-    file onto it would replace it.
+    /dev/stdout and /dev/stderr are written through ``sys.stdout`` and
+    ``sys.stderr``: redirected to a regular file, they are one, and a rename
+    onto it would drop what else the process writes there.  Any other device
+    or pipe is written in place: renaming a file onto it would replace it.
     """
     headers, fields = zip(*columns)
     lines = [",".join(headers)]
     lines += [",".join(_format(getattr(row, f)) for f in fields) for row in rows]
     text = "\n".join(lines) + "\n"
+    path = {"/dev/stdout": sys.stdout, "/dev/stderr": sys.stderr}.get(str(path), path)
     if hasattr(path, "write"):
         path.write(text)
         return

@@ -28,26 +28,6 @@ import numpy as np
 
 from .special import ln_gamma, reg_gamma_q
 
-__all__ = [
-    "NoiseSpec",
-    "EmpiricalSample",
-    "ConstantTau",
-    "LogInflatingTau",
-    "KyFanBound",
-    "InflatedExpectation",
-    "sample_noise",
-    "trial_rng",
-    "rekey",
-    "expected_norm",
-    "expected_norm_upper",
-    "kyfan_bound_gaussian",
-    "tail_prob_tau",
-    "empirical_kyfan",
-    "tau_schedule",
-    "delta_eff",
-    "truncate_solution",
-]
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Gaussian noise level: covariance eta^2 * Identity on R^m."""

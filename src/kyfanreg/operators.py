@@ -23,20 +23,6 @@ import numpy as np
 
 from .noise import _integer
 
-__all__ = [
-    "SvdOperator",
-    "AutoconvGrid",
-    "BesovWeights",
-    "autoconv_apply",
-    "autoconv_spectrum",
-    "autoconv_derivative_apply",
-    "autoconv_derivative_adjoint_apply",
-    "haar_forward",
-    "haar_inverse",
-    "haar_level_indices",
-    "besov_weights",
-]
-
 @dataclass(frozen=True)
 class SvdOperator:
     """Compact linear operator in its singular basis: (A x)_n = sigma_n x_n.

@@ -21,20 +21,6 @@ import numpy as np
 
 from .noise import _integer, trial_rng
 
-__all__ = [
-    "Tikhonov",
-    "Tsvd",
-    "LandweberFilter",
-    "SolveReport",
-    "NonConvergence",
-    "filter_value",
-    "filter_reconstruct",
-    "soft_threshold",
-    "prox_weighted_lp",
-    "prox_gradient_solve",
-    "operator_norm_squared",
-]
-
 
 @dataclass(frozen=True)
 class _AlphaFilter:

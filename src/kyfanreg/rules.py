@@ -24,28 +24,6 @@ from .noise import _integer, _log_term
 from .regularization import SolveReport, Tikhonov, _row_norms, filter_reconstruct
 from .special import lambert_w0, reg_gamma_q
 
-__all__ = [
-    "AprioriFilter",
-    "Discrepancy",
-    "DiscrepancyStop",
-    "Fixed",
-    "DiscrepancyResult",
-    "NoBracket",
-    "BesovBalanceParams",
-    "BesovBalanceResult",
-    "TikhonovRateModel",
-    "RatePrediction",
-    "NuEstimate",
-    "apriori_filter_alpha",
-    "discrepancy_alpha",
-    "besov_balance_alpha",
-    "tikhonov_rate_predict",
-    "uniform_source_model",
-    "heavy_tail_model",
-    "combined_model",
-    "nu_effective",
-]
-
 
 # -- rule parameter sets ---------------------------------------------------
 

@@ -8,8 +8,6 @@ domains; out-of-domain inputs raise ValueError rather than being clamped.
 
 import math
 
-__all__ = ["ln_gamma", "reg_gamma_q", "lambert_w0"]
-
 _MAX_ITER = 10000
 _REL_EPS = 1e-16
 # smallest x with exp(x) > 0 in double precision

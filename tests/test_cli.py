@@ -219,6 +219,14 @@ class TestRunCommands:
         cfg = write_config(tmp_path / "c.yaml", small_filter_config())
         assert main(["run", "besov", "--config", cfg]) == EXIT_CONFIG
 
+    def test_zero_kyfan_squared_scale_is_config_error(self, tmp_path, capsys):
+        raw = dict(small_besov_config(), rule={"kind": "kyfan-squared", "scale": 0.0})
+        cfg = write_config(tmp_path / "besov.yaml", raw)
+        assert main(["run", "besov", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config.rule: kyfan-squared scale must be positive, got 0.0" in captured.err
+
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         raw = small_filter_config()
         raw["surprise"] = True
@@ -354,6 +362,14 @@ class TestPredictCommands:
         assert code == EXIT_CONFIG
         assert captured.out == ""
         assert "underflows to 0" in captured.err
+
+    def test_single_noise_level_is_not_fitted(self, capsys):
+        code = main(["predict", "tikhonov-rate", "--model", "uniform",
+                     "--rho-grid", "1e-2,1e-2,1e-2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.out == ""
+        assert "2 or more distinct noise values" in captured.err
 
     def test_bad_rho_grid(self, capsys):
         assert main(["predict", "tikhonov-rate", "--model", "uniform",

@@ -1,8 +1,11 @@
 import dataclasses
+import io
 import math
 import os
 import re
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +97,8 @@ class TestFitRate:
                 fit_rate([(1.0, 1.0), (2.0, bad), (3.0, 3.0)])
             with pytest.raises(ValueError, match="finite, strictly positive"):
                 fit_rate([(1.0, 1.0), (bad, 2.0), (3.0, 3.0)])
+        with pytest.raises(ValueError, match="2 or more distinct noise values, got only 0.01"):
+            fit_rate([(1e-2, 1.0), (1e-2, 2.0), (1e-2, 3.0)])
 
 
 def summary_row(eta=0.1, **kw):
@@ -182,6 +187,20 @@ class TestExport:
         assert read_summaries(link) == read_summaries(target) != []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
 
+    def test_dev_stdout_keeps_the_rest_of_a_redirected_stdout(self, tmp_path):
+        code = (
+            "from kyfanreg.harness import EtaSummary, export\n"
+            f"print('before'); export([{summary_row()!r}], '/dev/stdout'); print('after')\n"
+        )
+        src = Path(harness.__file__).resolve().parents[1]
+        out = tmp_path / "out.txt"
+        with open(out, "w") as handle:
+            subprocess.run([sys.executable, "-c", code], stdout=handle, check=True,
+                           env={**os.environ, "PYTHONPATH": str(src)})
+        csv = io.StringIO()
+        export([summary_row()], csv)
+        assert out.read_text() == "before\n" + csv.getvalue() + "after\n"
+
     @pytest.mark.parametrize("row, fields", [("0.1,0.2,0.3", 3), ("0.1," * 8 + "9", 9)])
     def test_malformed_row_names_path_and_line(self, tmp_path, row, fields):
         path = tmp_path / "bad.csv"
@@ -195,6 +214,10 @@ class TestExport:
         path.write_text("eta,alpha\n0.1,0.2\n")
         with pytest.raises(ValueError, match="bad.csv does not carry the expected summary header"):
             read_summaries(path)
+
+    def test_missing_file_names_the_file(self, tmp_path):
+        with pytest.raises(OSError, match="cannot read results from .*missing.csv"):
+            read_summaries(tmp_path / "missing.csv")
 
     def test_non_numeric_field_names_path_and_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -418,3 +418,8 @@ class TestTruncation:
     def test_within_caps_identity(self):
         x = np.array([0.3, -0.4])
         assert np.array_equal(truncate_solution(x, 1.0, 0.5), x)
+
+    @pytest.mark.parametrize("norm_cap, sup_cap", [(0.0, 1.0), (1.0, 0.0)])
+    def test_rejects_a_zero_cap(self, norm_cap, sup_cap):
+        with pytest.raises(ValueError, match="caps must be positive"):
+            truncate_solution(np.ones(3), norm_cap, sup_cap)

@@ -278,6 +278,11 @@ class TestHaar:
         with pytest.raises(ValueError):
             haar_inverse(np.ones(3))
 
+    @pytest.mark.parametrize("transform", [haar_forward, haar_inverse])
+    def test_rejects_a_2d_array(self, transform):
+        with pytest.raises(ValueError, match=f"{transform.__name__} expects a 1-d array"):
+            transform(np.ones((2, 4)))
+
     def test_level_layout(self):
         lev = haar_level_indices(8)
         # scaling first, then blocks finest (level 3) to coarsest (level 1)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,28 @@ class TestFilterValue:
             assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
 
 
+def _identity(x):
+    return x, lambda r: r
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: prox_gradient_solve(_identity, np.ones(2), 1.0, 1.0, np.zeros(2), 1e-8, 10),
+     "x0 must be a (B, m) block, got shape (2,)"),
+    (lambda: prox_gradient_solve(_identity, np.ones((1, 3)), 1.0, 1.0, np.zeros((1, 2)), 1e-8, 10),
+     "data shape (1, 3) does not match the unknown's (1, 2)"),
+    (lambda: prox_gradient_solve(_identity, np.ones((1, 2)), 1.0, 0.0, np.zeros((1, 2)), 1e-8, 10),
+     "step must be positive, got array([0.])"),
+    (lambda: LandweberFilter(-1, 1.0), "k must be a nonnegative integer, got -1"),
+    (lambda: LandweberFilter(1, 0.0), "gamma must be positive, got 0.0"),
+    (lambda: Tikhonov(0.0), "alpha must be positive, got 0.0"),
+    (lambda: filter_value(Tikhonov(1.0), [1.0, 0.0]), "filter_value requires sigma > 0"),
+    (lambda: filter_reconstruct(SvdOperator([1.0, 0.5]), np.ones(3), Tikhonov(1.0)),
+     "data: expected rows of length 2, got shape (3,)"),
+], ids=["prox-1d-x0", "prox-data-shape", "prox-zero-step", "landweber-k", "landweber-gamma",
+        "tikhonov-alpha", "filter-zero-sigma", "reconstruct-row-length"])
+def test_argument_checks_name_the_argument(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 class TestFilterConditions:
     """Numerical verification of the two filter inequalities with beta = 1/2."""
 

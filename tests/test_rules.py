@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 
 import numpy as np
@@ -51,6 +52,30 @@ class TestRuleValidation:
             AprioriFilter(beta=0.5, nu=-0.1, rho=1.0)
         with pytest.raises(ValueError):
             Fixed(alpha=0.0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: AprioriFilter(beta=0.5, nu=1.0, rho=0.0), "rho must be positive, got 0.0"),
+        (lambda: AprioriFilter(beta=0.5, nu=1.0, rho=1.0, constant=0.0),
+         "constant must be positive, got 0.0"),
+        (lambda: apriori_filter_alpha(0.0, AprioriFilter(beta=0.5, nu=1.0, rho=1.0)),
+         "delta_eff must be positive, got 0.0"),
+        (lambda: discrepancy_alpha(SvdOperator([1.0, 0.5]), np.ones((1, 2)), 0.0,
+                                   Discrepancy(tau1=1.1, tau2=1.3)),
+         "delta_eff must be positive, got 0.0"),
+        (lambda: discrepancy_alpha(SvdOperator([1.0, 0.5]), np.ones(2), 0.1,
+                                   Discrepancy(tau1=1.1, tau2=1.3)),
+         re.escape("data: expected a (B, 2) block, got shape (2,)")),
+        (lambda: BesovBalanceParams(eta=0.0, m=4, n=4, p=1.0, rho=1.0, zeta=0.5, beta=1.0),
+         "eta must be positive"),
+        (lambda: BesovBalanceParams(eta=0.1, m=4, n=4, p=3.0, rho=1.0, zeta=0.5, beta=1.0),
+         re.escape("p must lie in [1, 2]")),
+        (lambda: BesovBalanceParams(eta=0.1, m=4, n=4, p=1.0, rho=0.0, zeta=0.5, beta=1.0),
+         "rho must be positive"),
+    ], ids=["apriori-rho", "apriori-constant", "apriori-delta", "discrepancy-delta",
+            "discrepancy-1d-data", "balance-eta", "balance-p", "balance-rho"])
+    def test_argument_checks_name_the_argument(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 class TestAprioriRule:
@@ -374,6 +399,15 @@ class TestBesovBalance:
         with pytest.raises(NoBracket, match="3 root") as info:
             besov_balance_alpha(self.params)
         assert len(info.value.scan) == rules._SCAN_POINTS
+
+    def test_exact_zero_on_the_scan_grid_is_the_root(self, monkeypatch):
+        # LHS - RHS = alpha~ - target rises through exactly 0 at one grid
+        # point, so neither neighbouring product is negative
+        target = 10.0 ** np.linspace(*rules._SCAN_LOG10_RANGE, rules._SCAN_POINTS)[200]
+        monkeypatch.setattr(rules, "_besov_sides", lambda params: lambda a: (a, target))
+        result = besov_balance_alpha(self.params)
+        assert (result.alpha_tilde, result.lhs, result.rhs) == (target, target, target)
+        assert result.gap == 0.0
 
 
 class TestTikhonovRatePredict:
