@@ -12,9 +12,12 @@ seven ``perfbench/configs/*.yaml`` at seeds 7 and 11, and the four
 and one more digests library functions whose rewrites must keep every bit:
 the Haar transforms and levels for n = 2^0 to 2^10 on seeded inputs, and
 ``reg_gamma_q`` on a grid that reaches both of its expansions, z = 0,
-z = inf and the underflow to 0. The last line digests the standard output
+z = inf and the underflow to 0. The next line digests the standard output
 and exit code of the README's ``kyfan`` and ``predict`` commands, run through
-``cli.main``. The script only reads files and writes to standard output.
+``cli.main``. The last line digests what the config parser and the Ky Fan
+estimator return: the ``repr`` of each parsed config of the record sets,
+and ``empirical_kyfan`` on seeded samples of 1 to 10^5 values with ties and
+zeros. The script only reads files and writes to standard output.
 """
 
 from __future__ import annotations
@@ -111,6 +114,19 @@ def cli_outputs() -> list:
     return out
 
 
+def parse_and_kyfan_outputs() -> list:
+    """``repr`` of each parsed config and ``empirical_kyfan`` of each seeded sample."""
+    out = [repr(cfg) for _, cfg in record_sets()]
+    for n in (1, 2, 3, 10, 100, 1000, 10**4, 10**5):
+        rng = np.random.default_rng(n)
+        # about a third of the values on a coarse grid that holds 0: ties and zeros
+        d = np.where(rng.random(n) < 0.3, rng.integers(0, 5, n) / 4.0, rng.exponential(0.3, n))
+        # spelled with from_values, which older trees' estimator needs
+        out.append(kf.empirical_kyfan(kf.EmpiricalSample.from_values(d)))
+    out.append(kf.empirical_kyfan(kf.EmpiricalSample.from_values(np.zeros(7))))
+    return out
+
+
 def _digest(text: str, name: str) -> None:
     print(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}", flush=True)
 
@@ -123,6 +139,7 @@ def main() -> int:
             "besov_balance_alpha linear-besov")
     _digest(repr(library_outputs()), "haar_forward haar_inverse haar_level_indices reg_gamma_q")
     _digest(repr(cli_outputs()), "cli kyfan bound, kyfan tail, predict tikhonov-rate and nu-rate")
+    _digest(repr(parse_and_kyfan_outputs()), "parse_config empirical_kyfan")
     return 0
 
 

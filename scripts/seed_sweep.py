@@ -6,8 +6,11 @@ Criteria 3, 5, 6, 7, 9 and 12 take their draws from the ``seed`` of the
 config they parse. The script loads ``tests/test_acceptance.py`` and runs
 each of those criteria's test functions at seeds 0 to 19 with only the
 seed replaced, so every statistic, tolerance and verdict is the test's own;
-runtime budgets are not checked. Criteria 2, 10 and 11 key their draws in
-code and are not swept.
+runtime budgets are not checked. Criteria 2, 10 and 11 key draws in code
+as well, through the ``sample_noise`` and ``trial_rng`` names the test
+module imports; the script rebinds those names so that these draws follow
+the swept seed too (see ``run_criterion``). Criteria 1, 4 and 8 are not
+swept.
 
 It prints, per criterion, how many seeds pass and which fail, then each
 seed's verdict and the test's own detail line. The script only reads files
@@ -26,7 +29,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import kyfanreg as kf  # noqa: E402
 
-CRITERIA = (3, 5, 6, 7, 9, 12)
+CRITERIA = (2, 3, 5, 6, 7, 9, 10, 11, 12)
 SEEDS = range(20)
 
 
@@ -39,9 +42,23 @@ def _acceptance():
 
 
 def run_criterion(module, number: int, seed: int) -> tuple:
-    """Run one criterion's test at ``seed``; return its verdict and detail line."""
+    """Run one criterion's test at ``seed``; return its verdict and detail line.
+
+    A parsed config's seed becomes ``seed``.  ``trial_rng(s, index)`` in the
+    test reads ``trial_rng(seed, index)``, so criterion 10's redraw of a
+    study's noise follows the study's config seed.  ``sample_noise`` at a
+    coded seed s draws at ``(seed << 32) | s`` instead, so distinct coded
+    seeds stay distinct, and seed 0 draws what the coded seeds draw.
+    """
     verdict = []
-    module.parse_config = lambda raw: kf.parse_config(dict(raw, seed=seed))
+    swept = seed
+
+    def sample_noise(spec, seed, trials):
+        return kf.sample_noise(spec, (swept << 32) | seed, trials)
+
+    module.parse_config = lambda raw: kf.parse_config(dict(raw, seed=swept))
+    module.trial_rng = lambda _, index: kf.trial_rng(swept, index)
+    module.sample_noise = sample_noise
     module.report = lambda capsys, number, ok, detail, elapsed, budget: verdict.append((ok, detail))
     test = next(f for name, f in vars(module).items()
                 if name.startswith(f"test_criterion_{number}_"))

@@ -14,8 +14,9 @@ written, so a study or a ``--rho-grid`` entry that fails leaves standard
 output empty.
 
 Exit codes: 0 success, 2 configuration, argument or I/O error, 3 numerical
-failure (an error raised inside a study run, whose config has been checked
-in full by then, or a study dominated by flagged trials).
+failure (an ArithmeticError, such as a series that fails to converge; an
+error raised inside a study run, whose config has been checked in full by
+then; or a study dominated by flagged trials).
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from .config import ConfigError, load_config
 from .harness import export, fit_rate, run_study
 from .noise import (
-    EmpiricalSample,
     NoiseSpec,
     empirical_kyfan,
     expected_norm,
@@ -128,8 +128,7 @@ def _cmd_kyfan(args) -> int:
             raise ConfigError(f"cannot read distances from {args.input}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"malformed distances in {args.input}: {exc}") from exc
-        sample = EmpiricalSample.from_values(values)
-        print(f"empirical_kyfan = {empirical_kyfan(sample):.17g}")
+        print(f"empirical_kyfan = {empirical_kyfan(values):.17g}")
         return EXIT_OK
     if args.subcommand == "tail":
         if args.check_mc < 0:
@@ -155,7 +154,7 @@ def _cmd_run(args) -> int:
         )
     try:
         result = run_study(cfg)
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:  # an ArithmeticError is caught in main
         # the config was checked by building its specs: the computation failed
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -219,6 +218,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ArithmeticError as exc:  # a series or an iteration that failed to converge
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     raise AssertionError(args.command)
 
 

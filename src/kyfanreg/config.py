@@ -2,9 +2,10 @@
 
 Configs are YAML mappings with a mandatory ``schema_version``.  Unknown keys
 anywhere are hard errors: a silently ignored typo can corrupt a whole Monte
-Carlo study.  Every number must be finite, so YAML's ``.inf`` and ``.nan``
-are rejected.  The same validator runs on in-memory dicts, so programmatic
-and file-based configs share one code path.
+Carlo study.  Every number, in a list too, must be finite and cannot be a
+bool or a string, so YAML's ``.inf``, ``.nan``, ``true`` and ``"1"`` are
+rejected.  The same validator runs on in-memory dicts, so programmatic and
+file-based configs share one code path.
 
 Top-level keys
 --------------
@@ -21,8 +22,8 @@ operator       : study-dependent operator spec (see below)
 truth          : study-dependent ground-truth spec
 rule           : parameter-choice rule spec
 solver         : optional study-specific keys (see _STUDY_SPECS; autoconv
-                 and nu-random take none); integer keys must be at least
-                 1, and besov needs p in [1, 2] and zeta = s - d(1/2 - 1/p) > 0
+                 and nu-random take none); besov needs a positive integer d,
+                 p in [1, 2] and zeta = s - d(1/2 - 1/p) > 0
 
 Operator specs: a linear operator is given by its singular values, in its
 singular basis: {kind: diagonal, singular_values: [...]} (non-increasing),
@@ -141,11 +142,15 @@ def _take(mapping: dict, where: str, required: dict, optional: dict) -> dict:
 
 
 def _coerce(value, kind, where: str):
-    if kind in _SECTIONS:
+    if isinstance(kind, list):  # [float]: a list of that kind (first, as a list is unhashable)
+        if isinstance(value, list):
+            return [_coerce(v, kind[0], f"{where}[*]") for v in value]
+        expected = "a list"
+    elif kind in _SECTIONS:
         return _parse_spec(value, kind, where)
-    if kind is dict:
+    elif kind is dict:
         return _mapping(value, where)
-    if isinstance(kind, tuple):  # one of these strings
+    elif isinstance(kind, tuple):  # one of these strings
         if value in kind:
             return value
         expected = f"one of {list(kind)}"
@@ -167,10 +172,6 @@ def _coerce(value, kind, where: str):
         if isinstance(value, str):
             return value
         expected = "a string"
-    elif kind is list:
-        if isinstance(value, list):
-            return value
-        expected = "a list"
     else:
         raise AssertionError(f"unhandled coercion kind {kind}")
     shown = repr(value)
@@ -185,13 +186,13 @@ def _coerce(value, kind, where: str):
 # name is parsed as that section.  ``dict`` keeps the checked mapping, kind and all.
 _SECTIONS = {
     "operator": ("kind", "operator kind", {
-        "diagonal": (dict, {"singular_values": list}, {}),
+        "diagonal": (dict, {"singular_values": [float]}, {}),
         "diagonal-powerlaw": (dict, {"size": int, "decay": float}, {}),
         "haar-diagonal": (dict, {"levels": int, "decay": float}, {}),
         "autoconv": (dict, {"size": int}, {}),
     }),
     "truth": ("kind", "truth kind", {
-        "explicit": (dict, {"values": list}, {}),
+        "explicit": (dict, {"values": [float]}, {}),
         "source-powerlaw": (dict, {"exponent": float, "power": float, "norm": float}, {}),
         "random-source": (dict, {"power": float, "norm": float}, {}),
         "two-bump": (dict, {}, {"amplitude": (float, 1.0)}),
@@ -321,7 +322,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             "schema_version": int,
             "study": str,
             "seed": int,
-            "eta_grid": list,
+            "eta_grid": [float],
             "trials_per_eta": int,
             "noise_level": dict,
             "caps": dict,
@@ -347,7 +348,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
                 f"allowed: {list(allowed)}"
             )
 
-    grid = [_coerce(v, float, "config.eta_grid[*]") for v in top["eta_grid"]]
+    grid = top["eta_grid"]
     if not grid or any(not (v > 0.0) for v in grid):
         raise ConfigError("config.eta_grid: must be a non-empty list of positive reals")
     if any(b >= a for a, b in zip(grid, grid[1:])):
@@ -368,10 +369,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if truth["kind"] != "level-spikes":  # built from the Besov weights checked below
         _built("config.truth", build_truth, truth, op)
     solver = _take(top["solver"], "config.solver", {}, study["solver"])
-    for key, (kind, _) in study["solver"].items():
-        # every integer solver key counts iterations, steps or dimensions
-        if kind is int and solver[key] < 1:
-            raise ConfigError(f"config.solver.{key}: must be at least 1, got {solver[key]!r}")
     # the nu-random study's Landweber step 0.9 / sigma_1^2 must be a finite double
     sigma_1 = float(op.singular_values[0])
     if top["study"] == "nu-random" and not (sigma_1**2 > 0.0 and math.isfinite(0.9 / sigma_1**2)):

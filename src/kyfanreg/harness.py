@@ -41,7 +41,6 @@ from .noise import (
     NoiseSpec,
     delta_eff,
     empirical_kyfan,
-    EmpiricalSample,
     rekey,
     trial_rng,
     truncate_solution,
@@ -192,7 +191,7 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
             delta_eff=dlt,
             alpha_or_kstar=float(np.mean(alpha[finite])) if finite.any() else math.inf,
             err_mean=float(np.mean(err_trunc)),
-            err_kyfan=empirical_kyfan(EmpiricalSample.from_values(err)),
+            err_kyfan=empirical_kyfan(err),
             residual_mean=float(np.mean(residual)),
             trials=err.size,
             truncated_count=int(np.count_nonzero(truncated)),

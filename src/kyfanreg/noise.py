@@ -41,26 +41,25 @@ class NoiseSpec:
             raise ValueError(f"eta must be a positive finite real, got {self.eta!r}")
 
 
-@dataclass(frozen=True)
+def _distances(values) -> np.ndarray:
+    """``values`` as a flat float array, checked non-empty, finite and nonnegative."""
+    d = np.asarray(values, dtype=float).ravel()
+    if d.size < 1:
+        raise ValueError("distances must be a non-empty 1-d array")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("distances must all be finite")
+    if np.any(d < 0.0):
+        raise ValueError("distances must all be nonnegative")
+    return d
+
+
 class EmpiricalSample:
-    """Realized distances d(X1, X2) across trials, for the plug-in estimator."""
+    """``from_values(values)``: the values, checked as ``empirical_kyfan`` checks them.
 
-    distances: np.ndarray
+    Kept only as the benchmark's spelling; its change in ROADMAP item 7 deletes it.
+    """
 
-    def __post_init__(self):
-        d = np.asarray(self.distances, dtype=float)
-        if d.ndim != 1 or d.size < 1:
-            raise ValueError("distances must be a non-empty 1-d array")
-        if not np.all(np.isfinite(d)):
-            raise ValueError("distances must all be finite")
-        if np.any(d < 0.0):
-            raise ValueError("distances must all be nonnegative")
-        object.__setattr__(self, "distances", d)
-
-    @classmethod
-    def from_values(cls, values) -> "EmpiricalSample":
-        arr = np.asarray(values, dtype=float).ravel()
-        return cls(distances=arr)
+    from_values = staticmethod(_distances)
 
 
 @dataclass(frozen=True)
@@ -205,15 +204,16 @@ def tail_prob_tau(tau: float, m: int) -> float:
     return reg_gamma_q(m / 2.0, z)
 
 
-def empirical_kyfan(sample: EmpiricalSample) -> float:
+def empirical_kyfan(values) -> float:
     """Exact empirical plug-in Ky Fan estimate, inf{eps : #(d > eps)/n <= eps}.
 
+    The distances d must be finite and nonnegative, at least one of them.
     With the sample sorted, d_(1) <= ... <= d_(n), and d_(0) = 0, the
     infimum is min_k max(d_(k), (n - k)/n): at most n - k values exceed
     d_(k), and between two sample values the tail count is constant.
     """
-    n = sample.distances.size
-    d = np.concatenate(([0.0], sample.distances))  # d_(0) = 0 sorts first: no d is negative
+    d = np.concatenate(([0.0], _distances(values)))  # d_(0) = 0 sorts first: no d is negative
+    n = d.size - 1
     d.sort()
     tail = np.arange(n, -1, -1, dtype=float)
     tail /= n  # (n - k)/n

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -213,8 +213,8 @@ class BesovBalanceParams:
 
     eta, m: noise level and data dimension; n: truncation level of the
     basis expansion; p in [1, 2]; rho: prior radius; zeta: smoothness gap;
-    beta: operator decay exponent; constant: rate constant in front of the
-    error term.
+    beta: operator decay exponent.  The rate constant in front of the error
+    term is 1, a class constant.
     """
 
     eta: float
@@ -224,7 +224,7 @@ class BesovBalanceParams:
     rho: float
     zeta: float
     beta: float
-    constant: float = 1.0
+    constant: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if not (self.eta > 0.0):
@@ -233,7 +233,7 @@ class BesovBalanceParams:
             _integer(getattr(self, name), name)
         if not (1.0 <= self.p <= 2.0):
             raise ValueError("p must lie in [1, 2]")
-        for name in ("rho", "zeta", "beta", "constant"):
+        for name in ("rho", "zeta", "beta"):
             if not (getattr(self, name) > 0.0):
                 raise ValueError(f"{name} must be positive")
 

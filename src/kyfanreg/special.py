@@ -26,7 +26,10 @@ def reg_gamma_q(a: float, z: float) -> float:
 
     Q(a, 0) = 1 and Q(a, .) decreases monotonically to 0.  Evaluated by the
     lower power series for z < a + 1 and by a continued fraction otherwise,
-    so both branches converge quickly.
+    so both branches converge quickly, up to a limit: the series takes at
+    most 10,000 terms, and for z just below a + 1 with a large it needs more.
+    At z = 0.999 a it converges for a = 1e6 and raises ArithmeticError for
+    a = 1e7 and 1e8.
     """
     if not (a > 0.0) or math.isinf(a):
         raise ValueError(f"reg_gamma_q requires a > 0, got {a!r}")

@@ -149,6 +149,16 @@ class TestKyfanCommands:
         assert code == EXIT_OK
         assert captured.out == "tail_prob = 0\n"
 
+    def test_tail_series_failure_is_numerical_failure(self, capsys):
+        # at a = m/2 = 1e7 and z = 0.999a the incomplete gamma series needs more
+        # than its 10,000 terms and raises ArithmeticError
+        code = main(["kyfan", "tail", "--tau", "0.9995", "--m", "20000000"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: incomplete gamma series failed")
+        assert captured.err.count("\n") == 1
+
     def test_tail_negative_mc_count_is_config_error(self, capsys):
         code = main(["kyfan", "tail", "--tau", "1.5", "--m", "4", "--check-mc", "-3"])
         captured = capsys.readouterr()
@@ -214,6 +224,26 @@ class TestRunCommands:
         assert main(["run", "filter-study", "--config", cfg]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert "config.operator" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("singular_values, values, message", [
+        # unchecked, an infinite entry reaches the study and fails there numerically
+        ([1.0, 0.5, 0.25, 0.125], [math.inf, 0.0, 0.0, 0.0],
+         "config.truth.values[*]: expected a finite number, got inf"),
+        # unchecked, numpy reads true and "1" as 1.0 and the study runs
+        ([True, "0.5", 0.25, 0.125], [True, "1", 0.0, 0.0],
+         "config.operator.singular_values[*]: expected a number, got True"),
+    ], ids=["infinite-value", "bool-and-string"])
+    def test_bad_list_entry_is_config_error(self, tmp_path, capsys, singular_values, values,
+                                            message):
+        raw = dict(small_filter_config(),
+                   operator={"kind": "diagonal", "singular_values": singular_values},
+                   truth={"kind": "explicit", "values": values},
+                   rule={"kind": "fixed", "alpha": 0.01})
+        cfg = write_config(tmp_path / "c.yaml", raw)
+        assert main(["run", "filter-study", "--config", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
 
     def test_study_mismatch_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", small_filter_config())

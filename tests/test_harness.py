@@ -851,9 +851,9 @@ class TestConfigValidation:
         # the discrepancy rule solves by Tikhonov whatever the filter
         ("filter", "solver", {"filter": "tsvd"}, "config.solver.filter: tsvd cannot be used"),
         ("nu-random", "operator", {"kind": "diagonal", "singular_values": [math.inf, 1.0]},
-         "config.operator: singular values must be finite"),
+         r"config.operator.singular_values\[\*\]: expected a finite number"),
         ("nu-random", "operator", {"kind": "diagonal", "singular_values": [math.nan]},
-         "config.operator: singular values must be finite"),
+         r"config.operator.singular_values\[\*\]: expected a finite number"),
         # YAML's .inf and .nan are numbers, but every setting must be finite
         ("filter", "eta_grid", [math.inf, 1e-2],
          r"config.eta_grid\[\*\]: expected a finite number"),
@@ -937,7 +937,7 @@ class TestConfigValidation:
     ])
     def test_integer_solver_keys_at_least_one(self, study, key):
         for value in (0, -1):
-            with pytest.raises(ConfigError, match=f"config.solver.{key}: must be at least 1"):
+            with pytest.raises(ConfigError, match=f"config.solver.{key}: must be a positive integer"):
                 parse_config(dict(STUDY_CONFIGS[study], solver={key: value}))
         assert parse_config(dict(STUDY_CONFIGS[study], solver={key: 1})).solver[key] == 1
 

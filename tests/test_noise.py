@@ -318,6 +318,15 @@ class TestEmpiricalKyFan:
         with pytest.raises(ValueError):
             EmpiricalSample.from_values([0.1, float("inf")])
 
+    @pytest.mark.parametrize("values, match", [
+        (np.array([0.1, -0.2]), "nonnegative"),
+        (np.array([0.1, np.nan]), "finite"),
+        (np.array([]), "non-empty"),
+    ])
+    def test_checks_its_values(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            empirical_kyfan(values)
+
     def test_definition_on_random_samples(self):
         # brute-force check of the defining infimum on candidate epsilons
         rng = np.random.default_rng(8)
