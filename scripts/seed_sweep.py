@@ -14,8 +14,8 @@ swept.
 
 It prints, per criterion, how many seeds pass and which fail, then each
 seed's verdict and the test's own detail line. The script only reads files
-and writes to standard output. Criteria 5 and 12 take about 1.5 minutes
-each on a 2-core box, the rest a few seconds.
+and writes to standard output. Criteria 5 and 12 take about 30 s each on
+a 2-core box, the rest a few seconds.
 """
 
 from __future__ import annotations

@@ -208,7 +208,7 @@ def run_study(cfg: ExperimentConfig) -> StudyResult:
 # per-call cost, few enough that each (rows, m) array holds at most this
 # many doubles.  An autoconv solve keeps about twenty such arrays alive:
 # on the autoconv benchmark (m = 128), 64-row blocks raise peak memory by
-# 1.4 MB (2.3%) over 32-row ones, and 128-row blocks by 4.4 MB (7.1%).
+# 0.9 MB (1.5%) over 32-row ones, and 128-row blocks by 2.9 MB (4.7%).
 _BLOCK_DOUBLES = 8192
 
 
@@ -256,10 +256,12 @@ def _constant_fit_init(grid: AutoconvGrid, y: np.ndarray) -> np.ndarray:
     return np.repeat(np.sqrt(c_sq)[:, np.newaxis], grid.m, axis=1)
 
 
-def _constant_lipschitz(grid: AutoconvGrid, c: np.ndarray) -> np.ndarray:
-    # ||F'(c*1)||^2 for each level c: F'(c*1) v = 2 h c cumsum(v), and the
-    # m x m lower-triangular ones matrix has norm 1 / (2 sin(pi / (4m + 2)))
-    return (grid.h * c / math.sin(math.pi / (4 * grid.m + 2))) ** 2
+def _haar_step_scale(grid: AutoconvGrid, haar: np.ndarray) -> np.ndarray:
+    # D = 1 / the row sums of |G|, G = K*K for K = F'(1) on Haar coefficients:
+    # F'(c*1) v = 2 h c cumsum(v) maps coefficient i to 2 h c cumsum(haar[i]).
+    # By Gershgorin, D G(c) / c^2 has no eigenvalue above 1 at any level c
+    k = 2.0 * grid.h * np.cumsum(haar, axis=1)
+    return 1.0 / np.sum(np.abs(k @ k.T), axis=1)
 
 
 def _haar_matrix(m: int) -> np.ndarray:
@@ -298,13 +300,16 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target):
     the alpha as below the band and trip the band-jump test.  An unconverged
     end residual moves alpha like any other; the next solve starts from
     where this one stopped.
-    Every solve of a row takes the same step: _STEP_SAFETY over
-    ||F'(x0)||^2, taken exactly from its closed form at the row's constant
-    initial fit x0.  Returns each row's last alpha, Haar coefficients and
-    residual, and whether it is flagged: searched, and ended outside the
-    band.  A row whose solve ends at x = 0 above the band stops there,
-    flagged: F'(0) = 0 makes 0 a fixed point of every later warm-started
-    solve.  A row with ||y|| <= lo_target is trivial, by the test of
+    Every solve of a row takes the same steps, one per Haar coefficient:
+    _STEP_SAFETY * D / c^2 at the row's constant initial fit x0 = c*1, with
+    D from ``_haar_step_scale``, so the steps scale F'(x0)'s Gram matrix in
+    Haar coefficients to eigenvalues of at most _STEP_SAFETY.  One scalar
+    step would be set by the coarsest coefficient, whose curvature is about
+    10^4 times the finest one's at m = 128.  Returns each row's last alpha,
+    Haar coefficients and residual, and whether it is flagged: searched,
+    and ended outside the band.  A row whose solve ends at x = 0 above the
+    band stops there, flagged: F'(0) = 0 makes 0 a fixed point of every
+    later warm-started solve.  A row with ||y|| <= lo_target is trivial, by the test of
     ``discrepancy_alpha``: it keeps alpha = inf, zero coefficients and
     residual ||y||, unflagged, and is never solved.  A solve converges when
     its step falls to _TOL_REL * lo_target: the band asks for the residual
@@ -318,11 +323,11 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target):
     coeffs = np.zeros_like(y)
     coeffs[searching] = x0 @ haar.T
     # positive: the fit's level c is at least 1e-3
-    step = np.zeros(rows)
-    step[searching] = _STEP_SAFETY / _constant_lipschitz(grid, x0[:, 0])
+    step = np.zeros_like(y)
+    step[searching] = _STEP_SAFETY * _haar_step_scale(grid, haar) / x0[:, :1] ** 2
 
     # start above the kill-everything alpha (prox fixed point at the init
-    # needs alpha >= 2 max|gradient|), then continue downward
+    # needs alpha >= 2 max|gradient|, whatever the steps), then continue downward
     grad0 = autoconv_derivative_adjoint_apply(
         grid, x0, autoconv_apply(grid, x0) - y[searching]) @ haar.T
     alpha = np.full(rows, math.inf)
@@ -369,7 +374,7 @@ def _alpha_continuation(grid, haar, y, lo_target, hi_target):
 # The autoconv alpha search: a solve stops at step _TOL_REL * tau1 * delta_eff
 # (the band's lower edge, since tau1 = tau2 is a band of width 0) or after
 # _MAX_ITER iterations, a trial after _MAX_ALPHA_STEPS alphas (so at most
-# 32,000 iterations); steps are _STEP_SAFETY / Lipschitz.  Until bracketed,
+# 32,000 iterations); steps are _STEP_SAFETY * D / c^2.  Until bracketed,
 # alpha moves by a secant factor in [1.2, 4]: 4 is the most a row ever moves,
 # and 1.2 is about the band's own width in residual, 1.3 / 1.1.
 _TOL_REL = 2e-3

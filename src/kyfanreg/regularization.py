@@ -240,15 +240,17 @@ def prox_gradient_solve(
     Teboulle 2009) with gradient-based adaptive restart (O'Donoghue and
     Candes 2015).  One iteration takes a proximal gradient step from the
     extrapolated point z, x+ = prox(z - step * F'(z)*(F(z) - y)) with
-    proximal threshold step * alpha / 2, and then extrapolates
-    z <- x+ + (t - 1) / t+ * (x+ - x) with t+ = (1 + sqrt(1 + 4 t^2)) / 2,
-    starting from z = x0 and t = 1.  When the step opposes the momentum,
+    proximal threshold step * alpha / 2 in each entry, and then
+    extrapolates z <- x+ + (t - 1) / t+ * (x+ - x) with
+    t+ = (1 + sqrt(1 + 4 t^2)) / 2, starting from z = x0 and t = 1.  When the step opposes the momentum,
     (z - x+) . (x+ - x) > 0, the momentum restarts: t = 1 and z = x+.  A
     step from momentum (t > 1) that would raise the objective is rejected:
     x stays, t = 1 and z = x, so the next step is a plain one.  The
     objective therefore never rises wherever plain proximal gradient steps
-    do not raise it, as for a linear F with ``step`` <= 1/L.  ``step`` must
-    not exceed 1/L where L bounds ||F'(x)||^2 near the iterates.
+    do not raise it, as for a linear F whose steps meet the condition:
+    diag(step)^1/2 F'(x)*F'(x) diag(step)^1/2 <= I near the iterates, for
+    each row's steps.  A scalar step meets it when it is at most 1/L, L a
+    bound on ||F'(x)||^2.
     A row converges when the step from the extrapolated point, ||x+ - z||,
     drops to ``tol`` (z is then a fixed point of the proximal gradient map
     to that accuracy), and stops unconverged after ``max_iter`` iterations.
@@ -258,8 +260,9 @@ def prox_gradient_solve(
     row leaves the block as soon as it stops.  Each iteration linearizes
     twice, at z for the gradient and at x+ for the objective, where only
     F(x+) is used; work shared by F and F'(x)* belongs inside ``linearize``.
-    ``alpha`` and ``step`` are scalars or one value per row; every row gets
-    the same ``max_iter`` iterations.  ``tol`` must be finite and at least
+    ``alpha`` is a scalar or one value per row, and ``step`` a scalar, one
+    value per row or a (B, m) block, one per entry; every row gets the same
+    ``max_iter`` iterations.  ``tol`` must be finite and at least
     0, and ``max_iter`` at least 0.  A (0, m) block returns an empty report:
     no rows, 0 iterations, nothing unconverged.
     The report is returned whether or not every row converged.  Its
@@ -277,11 +280,18 @@ def prox_gradient_solve(
     if y.shape != x.shape:
         raise ValueError(f"data shape {y.shape} does not match the unknown's {x.shape}")
     alpha = _per_row(alpha, rows, "alpha")
-    step = _per_row(step, rows, "step")
+    step = np.asarray(step, dtype=float)
+    if step.ndim < 2:
+        step = _per_row(step, rows, "step")
+    elif step.shape != x.shape:
+        raise ValueError(f"step: expected a scalar, one value per row or a {x.shape} block, "
+                         f"got {step.shape}")
     if not np.all(alpha > 0.0):
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     if not np.all(step > 0.0):
         raise ValueError(f"step must be positive, got {step!r}")
+    if step.ndim == 1:
+        step = step[:, np.newaxis]  # one step per row, as a (B, 1) column
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     max_iter = _integer(max_iter, "max_iter", positive=False)  # one budget for every row
@@ -289,7 +299,7 @@ def prox_gradient_solve(
         raise ValueError(f"max_iter must be non-negative, got {max_iter}")
     if record_objective and rows != 1:
         raise ValueError("record_objective needs a one-row block")
-    thresh = (step * alpha / 2.0)[:, np.newaxis]
+    thresh = step * alpha[:, np.newaxis] / 2.0
 
     def objective(xv, r):
         # each row's residual norm and objective
@@ -323,7 +333,7 @@ def prox_gradient_solve(
             break
         k += 1
         f_z, adjoint = linearize(z)
-        v = np.multiply(step[:, np.newaxis], adjoint(f_z - y))
+        v = np.multiply(step, adjoint(f_z - y))
         del f_z, adjoint  # z's linearization need not live beside x+'s
         np.subtract(z, v, out=v)
         x_next = _prox_lp(v, thresh, 1.0)

@@ -26,10 +26,11 @@ def reg_gamma_q(a: float, z: float) -> float:
 
     Q(a, 0) = 1 and Q(a, .) decreases monotonically to 0.  Evaluated by the
     lower power series for z < a + 1 and by a continued fraction otherwise,
-    so both branches converge quickly, up to a limit: the series takes at
-    most 10,000 terms, and for z just below a + 1 with a large it needs more.
-    At z = 0.999 a it converges for a = 1e6 and raises ArithmeticError for
-    a = 1e7 and 1e8.
+    so both branches converge quickly.  Near z = a the series' terms fall
+    like exp(-n^2 / 2a), so it needs about 8.6 sqrt(a) of them; it may take
+    up to 10 sqrt(a), and at least 10,000.  ArithmeticError is raised if a
+    branch still has not converged.  Near z = a the rounding of lgamma(a)
+    bounds the relative accuracy: about 3e-8 at a = 1e8, 1e-6 at a = 1e9.
     """
     if not (a > 0.0) or math.isinf(a):
         raise ValueError(f"reg_gamma_q requires a > 0, got {a!r}")
@@ -55,7 +56,7 @@ def _gamma_p_series(a: float, z: float) -> float:
     term = 1.0 / a
     total = term
     denom = a
-    for _ in range(_MAX_ITER):
+    for _ in range(max(_MAX_ITER, int(10.0 * math.sqrt(a)))):
         denom += 1.0
         term *= z / denom
         total += term

@@ -3,7 +3,7 @@ import math
 import pytest
 import yaml
 
-from kyfanreg import harness
+from kyfanreg import harness, special
 from kyfanreg.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 from kyfanreg.config import parse_config
 from kyfanreg.harness import read_summaries, run_study
@@ -149,9 +149,20 @@ class TestKyfanCommands:
         assert code == EXIT_OK
         assert captured.out == "tail_prob = 0\n"
 
-    def test_tail_series_failure_is_numerical_failure(self, capsys):
-        # at a = m/2 = 1e7 and z = 0.999a the incomplete gamma series needs more
-        # than its 10,000 terms and raises ArithmeticError
+    def test_tail_at_twenty_million_dimensions(self, capsys):
+        # a = m/2 = 1e7 and z = 0.999a: the incomplete gamma series needs
+        # about 27,000 terms
+        code = main(["kyfan", "tail", "--tau", "0.9995", "--m", "20000000"])
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert captured.err == ""
+        assert float(captured.out.split("=")[1]) == pytest.approx(0.99921784791602719, rel=1e-7)
+
+    def test_tail_series_failure_is_numerical_failure(self, capsys, monkeypatch):
+        def failing_series(a, z):
+            raise ArithmeticError(f"incomplete gamma series failed to converge (a={a}, z={z})")
+
+        monkeypatch.setattr(special, "_gamma_p_series", failing_series)
         code = main(["kyfan", "tail", "--tau", "0.9995", "--m", "20000000"])
         captured = capsys.readouterr()
         assert code == EXIT_NUMERICAL

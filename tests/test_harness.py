@@ -44,7 +44,6 @@ from kyfanreg.regularization import (
     Tsvd,
     _row_norms,
     filter_reconstruct,
-    operator_norm_squared,
 )
 from test_acceptance import _autoconv_config
 
@@ -428,7 +427,7 @@ class TestAutoconvStudy:
         """The autoconv alpha search on one data row, one decision at a time."""
         x0 = harness._constant_fit_init(grid, y[np.newaxis])
         coeffs = x0 @ haar.T
-        step = harness._STEP_SAFETY / harness._constant_lipschitz(grid, x0[:, 0])
+        step = harness._STEP_SAFETY * harness._haar_step_scale(grid, haar) / x0[:, :1] ** 2
         grad0 = autoconv_derivative_adjoint_apply(grid, x0, autoconv_apply(grid, x0) - y) @ haar.T
         alpha = max(4.0 * float(np.max(np.abs(grad0))), 1e-12)
         alpha_hi = alpha_lo = a_prev = r_prev = math.nan
@@ -589,22 +588,18 @@ class TestAutoconvStudy:
         assert np.all(alpha > 1e-12)
 
 
-class TestConstantLipschitz:
-    # the autoconv step is set from this closed form in place of a power iteration
-    @pytest.mark.parametrize("m", [1, 2, 5, 32, 128, 256])
-    def test_matches_dense_norm_and_power_iteration(self, m):
-        grid = AutoconvGrid(m)
-        c = np.array([1e-3, 0.31, 1.0, 7.5])
-        closed = harness._constant_lipschitz(grid, c)
-        dense = [np.linalg.norm(2 * grid.h * ci * np.tril(np.ones((m, m))), 2) ** 2 for ci in c]
-        assert closed == pytest.approx(dense, rel=1e-12)
-        x0 = np.repeat(c[:, np.newaxis], m, axis=1)
-        power = operator_norm_squared(
-            lambda v: autoconv_derivative_apply(grid, x0, v),
-            lambda r: autoconv_derivative_adjoint_apply(grid, x0, r),
-            len(c), m, iters=30,
-        )
-        assert closed == pytest.approx(power, rel=1e-12)
+class TestHaarStepScale:
+    # the autoconv step per Haar coefficient is _STEP_SAFETY * D / c^2 at the fit c*1
+    @pytest.mark.parametrize("m", [1, 2, 4, 32, 128, 256])
+    def test_scaled_gram_has_no_eigenvalue_above_one(self, m):
+        grid, haar = AutoconvGrid(m), harness._haar_matrix(m)
+        scale = harness._haar_step_scale(grid, haar)
+        for c in (1e-3, 0.31, 1.0, 7.5):
+            # F'(c*1) applied to each Haar basis vector, from the kernel itself
+            k = autoconv_derivative_apply(grid, np.full((m, m), c), haar)
+            root = np.sqrt(scale / c**2)
+            scaled = root[:, np.newaxis] * (k @ k.T) * root
+            assert np.max(np.linalg.eigvalsh(scaled)) <= 1.0 + 1e-12
 
 
 class TestBesovStudy:
@@ -1048,10 +1043,10 @@ PINNED_SUMMARIES = {
          0.13097719248422238, 0.02381940065819717, 30, 0, 0, None, None),
     ],
     "autoconv": [
-        (0.1, 0.5656854249492381, 0.2531023127234536, 1.7531075411125525,
-         0.8, 0.6871755556942498, 30, 0, 6, 1.822297893904132, None),
-        (0.01, 0.05656854249492381, 0.023328161839512754, 0.3624153811057021,
-         0.36573156622247904, 0.067939373597524, 30, 0, 0, 0.2804104400362551, None),
+        (0.1, 0.5656854249492381, 0.2543355450262258, 1.7528911406026757,
+         0.7961831887549997, 0.6871454606546908, 30, 0, 6, 1.8212174886065944, None),
+        (0.01, 0.05656854249492381, 0.023328161839512754, 0.3623333611524858,
+         0.3657487029261256, 0.06794968463268704, 30, 0, 0, 0.2804104400362551, None),
     ],
     "besov": [
         (0.001, 0.011313708498984762, 9.677432019609e-05, 0.02156742011096665,

@@ -376,6 +376,60 @@ class TestBatchedSolves:
             assert batch.row_iterations[i] == one.iterations
             assert np.max(np.abs(batch.solution[i] - one.solution[0])) <= 1e-12 * np.max(np.abs(one.solution))
 
+    @given(_diagonal_batches())
+    @settings(max_examples=50, deadline=None)
+    def test_block_step_rows_match_one_row_solves(self, problem):
+        # one step per entry: s_ij sigma_j^2 <= 1 keeps each row's scaled Gram below I
+        sigma, y, alpha, step, budget, x0 = problem
+        step = np.outer(step, 1.0 / sigma**2)
+        lin = lambda x: (sigma * x, lambda r: sigma * r)  # noqa: E731 - acts on row blocks
+        batch = prox_gradient_solve(lin, y, alpha=alpha, step=step, x0=x0, tol=1e-9,
+                                    max_iter=budget)
+        for i in range(y.shape[0]):
+            one = prox_gradient_solve(lin, y[i:i + 1], alpha=alpha[i], step=step[i:i + 1],
+                                      x0=x0[i:i + 1], tol=1e-9, max_iter=budget)
+            assert batch.row_iterations[i] == one.iterations
+            assert batch.converged[i] == one.converged[0]
+            scale = max(np.max(np.abs(one.solution)), 1e-300)
+            assert np.max(np.abs(batch.solution[i] - one.solution[0])) <= 1e-12 * scale
+
+    def test_per_row_step_spread_over_its_row_gives_the_same_report(self):
+        gen = np.random.default_rng(5)
+        sigma = np.geomspace(1.0, 0.1, 6)
+        y, x0 = gen.standard_normal((3, 6)), gen.standard_normal((3, 6))
+        alpha, step = np.array([1e-3, 1e-2, 1e-1]), np.array([0.9, 0.5, 1.0])
+        lin = lambda x: (sigma * x, lambda r: sigma * r)  # noqa: E731
+        per_row = prox_gradient_solve(lin, y, alpha=alpha, step=step, x0=x0, tol=1e-10,
+                                      max_iter=5000)
+        block = prox_gradient_solve(lin, y, alpha=alpha, step=np.repeat(step[:, np.newaxis], 6, 1),
+                                    x0=x0, tol=1e-10, max_iter=5000)
+        for field in ("solution", "final_residual", "row_iterations", "converged"):
+            assert np.array_equal(getattr(block, field), getattr(per_row, field))
+        assert per_row.converged.all()
+
+    def test_steps_of_one_over_sigma_squared_solve_a_diagonal_problem_at_once(self):
+        # the step that a diagonal Gram matrix asks of each entry: the first
+        # iteration lands on the solution and the second finds it fixed
+        sigma = np.geomspace(1.0, 1e-3, 8)
+        y = np.random.default_rng(2).standard_normal((1, 8))
+        report = prox_gradient_solve(lambda x: (sigma * x, lambda r: sigma * r), y, alpha=1e-4,
+                                     step=1.0 / sigma[np.newaxis] ** 2, x0=np.zeros((1, 8)),
+                                     tol=1e-12, max_iter=100)
+        assert report.iterations == 2
+        exact = soft_threshold(y[0] / sigma, 1e-4 / (2.0 * sigma**2))
+        assert np.max(np.abs(report.solution[0] - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("step", [
+        np.ones((2, 4)), np.ones((3, 3)), np.ones((2, 3, 1)), np.array([[1.0, 0.0, 1.0]] * 2),
+        np.array([[1.0, 1.0, 1.0], [1.0, 1.0, math.nan]]),
+    ], ids=["short-rows", "extra-row", "3-d", "zero-entry", "nan-entry"])
+    def test_block_steps_are_checked(self, step):
+        with pytest.raises(ValueError, match="step"):
+            prox_gradient_solve(
+                lambda x: (x, lambda r: r), np.ones((2, 3)), alpha=0.1, step=step,
+                x0=np.zeros((2, 3)), tol=1e-9, max_iter=10,
+            )
+
     @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=10),
            st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=100, deadline=None)

@@ -79,6 +79,15 @@ class TestRegGammaQ:
             assert all(q1 >= q2 - 1e-14 for q1, q2 in zip(qs, qs[1:]))
             assert all(0.0 <= q <= 1.0 for q in qs)
 
+    # near z = a the lower series needs about 8.6 sqrt(a) terms: more than
+    # 10,000 from a = 1.4e6 on
+    @pytest.mark.parametrize("a", [1e7, 1e8])
+    @pytest.mark.parametrize("ratio", [0.999, 0.9999, 1.0])
+    def test_large_a_near_the_mean(self, a, ratio):
+        with mpmath.workdps(40):
+            want = float(mpmath.gammainc(a, a * ratio, mpmath.inf, regularized=True))
+        assert reg_gamma_q(a, a * ratio) == pytest.approx(want, rel=1e-7)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             reg_gamma_q(0.0, 1.0)
